@@ -14,7 +14,14 @@ from .cumulants import (
     pmm2_weight,
     pmm3_weights,
 )
-from .dispatch import DispatchConfig, DispatchDecision, dispatch_fit, render_decision, select_method
+from .dispatch import (
+    DispatchConfig,
+    DispatchDecision,
+    dispatch_fit,
+    fit_model,
+    render_decision,
+    select_method,
+)
 from .errors import (
     DataError,
     DegenerateDistributionError,

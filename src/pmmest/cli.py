@@ -16,26 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .dispatch import DispatchConfig, dispatch_fit, render_decision, select_method
+from .dispatch import DispatchConfig, dispatch_fit, fit_model, render_decision, select_method
 from .errors import DataError, InputTooShortError, PmmError
 from .inference import block_bootstrap_ts, residual_bootstrap
-from .linmodel import build_design, fit_ols, fit_pmm2, fit_pmm3, information_criteria
-from .mcbench import InnovationSpec, McSpec, _FAMILY_DEFAULTS, advantage_grid, run_monte_carlo, sample_innovations
-from .tscore import ModelOrder, TsFit, TsParams, fit_css, simulate_arima
-from .tspmm import fit_ar_pmm2, fit_ts_pmm2, fit_ts_pmm3, forecast
+from .linmodel import build_design, information_criteria
+from .mcbench import _FAMILIES, InnovationSpec, McSpec, advantage_grid, run_monte_carlo, sample_innovations
+from .tscore import ModelOrder, TsFit, TsParams, simulate_arima
+from .tspmm import forecast
 
 SCHEMA_VERSION = "1"
-
-_INNOVATION_KEYS = {
-    "gaussian": ("sd",),
-    "gamma": ("shape", "rate"),
-    "lognormal": ("mu", "sigma"),
-    "chisq": ("df",),
-    "uniform": ("low", "high"),
-    "beta": ("a", "b"),
-    "laplace": ("scale",),
-    "triangular": ("half_width",),
-}
 
 
 class UsageError(Exception):
@@ -87,10 +76,10 @@ def _name_list(text: str) -> tuple[str, ...]:
 def _innovations(text: str) -> InnovationSpec:
     fam, _, rest = text.partition(":")
     fam = fam.strip().lower()
-    if fam not in _INNOVATION_KEYS:
+    if fam not in _FAMILIES:
         raise argparse.ArgumentTypeError(
-            f"unknown family {fam!r}; choose from {sorted(_INNOVATION_KEYS)}")
-    keys = _INNOVATION_KEYS[fam]
+            f"unknown family {fam!r}; choose from {sorted(_FAMILIES)}")
+    keys, defaults = _FAMILIES[fam].keys, _FAMILIES[fam].defaults
     if not rest:
         return InnovationSpec(fam)
     entries = [e.strip() for e in rest.split(",") if e.strip()]
@@ -101,7 +90,6 @@ def _innovations(text: str) -> InnovationSpec:
             if unknown:
                 raise argparse.ArgumentTypeError(
                     f"unknown {fam} parameters {sorted(unknown)}; valid: {list(keys)}")
-            defaults = _FAMILY_DEFAULTS[fam]
             params = tuple(float(given.get(k, defaults[i]))
                            for i, k in enumerate(keys))
         else:
@@ -267,46 +255,22 @@ def cmd_fit(args) -> int:
     decision = None
     if kind == "regression":
         cols = read_csv_columns(args.input, [args.column, *args.design])
-        problem = build_design(cols[args.column], [cols[c] for c in args.design],
-                               include_intercept=True, column_names=list(args.design))
+        data = build_design(cols[args.column], [cols[c] for c in args.design],
+                            include_intercept=True, column_names=list(args.design))
         if args.horizon:
             raise UsageError("--horizon applies to time-series fits only")
-        if method == "auto":
-            decision, fit = dispatch_fit(problem, "regression", _dispatch_config(args))
-            print(render_decision(decision))
-        elif method in ("ols", "css"):
-            fit = fit_ols(problem)
-        elif method == "pmm2":
-            fit = fit_pmm2(problem)
-        elif method == "pmm3":
-            fit = fit_pmm3(problem)
-        else:
-            raise UsageError(f"unknown method {args.method!r}")
-        report = _fit_report_core(fit, kind, names=list(problem.column_names))
+        order, names = None, list(data.column_names)
     else:
-        x = read_csv_columns(args.input, [args.column])[args.column]
-        order = _build_order(args)
-        if method == "auto":
-            decision, fit = dispatch_fit(x, "timeseries", _dispatch_config(args), order=order)
-            print(render_decision(decision))
-        else:
-            if order is None:
-                order = ModelOrder(p=1)
-            if method in ("css", "ols"):
-                fit = fit_css(x, order)
-            elif method == "pmm2":
-                if order.q == 0 and order.P == 0 and order.Q == 0 \
-                        and order.d + order.D == 0 and order.p >= 1:
-                    fit = fit_ar_pmm2(x, order.p, include_mean=order.include_mean)
-                else:
-                    fit = fit_ts_pmm2(x, order)
-            elif method == "pmm3":
-                fit = fit_ts_pmm3(x, order)
-            else:
-                raise UsageError(f"unknown method {args.method!r}")
-        report = _fit_report_core(fit, kind)
-        if args.horizon:
-            report["forecasts"] = [float(v) for v in forecast(fit, args.horizon)]
+        data = read_csv_columns(args.input, [args.column])[args.column]
+        order, names = _build_order(args), None
+    if method == "auto":
+        decision, fit = dispatch_fit(data, kind, _dispatch_config(args), order=order)
+        print(render_decision(decision))
+    else:
+        fit = fit_model(data, method, order or ModelOrder(p=1))
+    report = _fit_report_core(fit, kind, names=names)
+    if args.horizon:
+        report["forecasts"] = [float(v) for v in forecast(fit, args.horizon)]
     report["schema_version"] = SCHEMA_VERSION
     report["command"] = "fit"
     report["seed"] = args.seed
@@ -334,19 +298,16 @@ def cmd_dispatch(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    method = args.method.lower()
     if args.design:
         cols = read_csv_columns(args.input, [args.column, *args.design])
         problem = build_design(cols[args.column], [cols[c] for c in args.design],
                                include_intercept=True, column_names=list(args.design))
-        fit_method = "OLS" if method in ("ols", "css") else method.upper()
-        result = residual_bootstrap(problem, method=fit_method, B=args.B,
+        result = residual_bootstrap(problem, method=args.method, B=args.B,
                                     level=args.level, seed=args.seed)
     elif args.order is not None or args.seasonal is not None:
         x = read_csv_columns(args.input, [args.column])[args.column]
         order = _build_order(args)
-        fit_method = "CSS" if method in ("ols", "css") else method.upper()
-        result = block_bootstrap_ts(x, order, method=fit_method, B=args.B,
+        result = block_bootstrap_ts(x, order, method=args.method, B=args.B,
                                     block_length=args.block_length,
                                     level=args.level, seed=args.seed)
     else:

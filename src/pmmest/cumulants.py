@@ -13,7 +13,8 @@ Conventions used throughout the package:
   cumulants.
 
 Admissibility violations (possible for small-sample plug-in estimates) raise
-errors here; callers decide whether to clamp or fall back.
+errors in ``g2_coefficient``/``g3_coefficient``; ``_clamped_g2``/``_clamped_g3``
+are the one clamped fallback for sample moments.
 """
 
 import math
@@ -107,21 +108,45 @@ def central_moments(x, m2_ddof: int = 1) -> MomentSet:
     return MomentSet(n, mean, m2, m3, m4, m6, gamma3, gamma4, gamma6)
 
 
+def _g2(gamma3: float, gamma4: float) -> tuple[float, str]:
+    """g2 clamped into [0, 1] and the admissibility condition it violates ("" if none).
+
+    Either violation puts the formula at or below 0, so the clamped value is 0.
+    """
+    denom = gamma4 + 2.0
+    if denom <= 0.0:
+        return 0.0, f"gamma4 + 2 = {denom:g} is not positive"
+    if gamma3 * gamma3 > denom:
+        return 0.0, (f"cumulant inequality violated: gamma3^2 = {gamma3 * gamma3:g} "
+                     f"> gamma4 + 2 = {denom:g}")
+    return 1.0 - gamma3 * gamma3 / denom, ""
+
+
+def _g3(gamma4: float, gamma6: float) -> tuple[float, str]:
+    """g3 clamped into [0, 1] and the admissibility condition it violates ("" if none)."""
+    denom = 6.0 + 9.0 * gamma4 + gamma6
+    g = 0.0 if denom <= 0.0 else max(1.0 - gamma4 * gamma4 / denom, 0.0)
+    if gamma4 < -2.0:
+        return g, f"gamma4 = {gamma4:g} below -2"
+    if denom <= 0.0:
+        return g, f"6 + 9*gamma4 + gamma6 = {denom:g} is not positive"
+    if gamma4 * gamma4 > denom:
+        return g, f"admissibility violated: gamma4^2 = {gamma4 * gamma4:g} > {denom:g}"
+    return g, ""
+
+
 def g2_coefficient(gamma3: float, gamma4: float) -> float:
     """PMM2-to-OLS asymptotic variance ratio, 1 - gamma3^2 / (gamma4 + 2).
 
     Raises InadmissibleCumulantsError when gamma4 + 2 <= 0 or the cumulant
     inequality gamma3^2 <= gamma4 + 2 fails.  Never clamps: sample estimates
-    may transiently violate the inequality and the caller owns the fallback.
+    may transiently violate the inequality and the caller owns the fallback
+    (``_clamped_g2`` for sample moments).
     """
-    denom = gamma4 + 2.0
-    if denom <= 0.0:
-        raise InadmissibleCumulantsError(f"gamma4 + 2 = {denom:g} is not positive")
-    if gamma3 * gamma3 > denom:
-        raise InadmissibleCumulantsError(
-            f"cumulant inequality violated: gamma3^2 = {gamma3 * gamma3:g} "
-            f"> gamma4 + 2 = {denom:g}")
-    return 1.0 - gamma3 * gamma3 / denom
+    g, violation = _g2(gamma3, gamma4)
+    if violation:
+        raise InadmissibleCumulantsError(violation)
+    return g
 
 
 def g3_coefficient(gamma4: float, gamma6: float) -> float:
@@ -130,16 +155,33 @@ def g3_coefficient(gamma4: float, gamma6: float) -> float:
     Admissibility for symmetric laws requires gamma4 >= -2 and
     6 + 9*gamma4 + gamma6 >= gamma4^2 with a positive denominator.
     """
-    if gamma4 < -2.0:
-        raise InadmissibleCumulantsError(f"gamma4 = {gamma4:g} below -2")
-    denom = 6.0 + 9.0 * gamma4 + gamma6
-    if denom <= 0.0:
-        raise InadmissibleCumulantsError(
-            f"6 + 9*gamma4 + gamma6 = {denom:g} is not positive")
-    if gamma4 * gamma4 > denom:
-        raise InadmissibleCumulantsError(
-            f"admissibility violated: gamma4^2 = {gamma4 * gamma4:g} > {denom:g}")
-    return 1.0 - gamma4 * gamma4 / denom
+    g, violation = _g3(gamma4, gamma6)
+    if violation:
+        raise InadmissibleCumulantsError(violation)
+    return g
+
+
+def _clamped_g2(mom: MomentSet | None, warns: list[str]) -> float:
+    """g2 of sample moments: 1 without usable moments, clamped into [0, 1]
+    with a note in ``warns`` when the plug-in cumulants are inadmissible."""
+    if mom is None or mom.degenerate:
+        warns.append("residual cumulants unavailable; g2 set to 1")
+        return 1.0
+    g, violation = _g2(mom.gamma3, mom.gamma4)
+    if violation:
+        warns.append(f"sample cumulants inadmissible for g2; clamped to {g:g}")
+    return g
+
+
+def _clamped_g3(mom: MomentSet | None, warns: list[str]) -> float:
+    """g3 of sample moments, with the fallbacks of ``_clamped_g2``."""
+    if mom is None or mom.degenerate:
+        warns.append("residual cumulants unavailable; g3 set to 1")
+        return 1.0
+    g, violation = _g3(mom.gamma4, mom.gamma6)
+    if violation:
+        warns.append(f"sample cumulants inadmissible for g3; clamped to {g:g}")
+    return g
 
 
 def pmm2_weight(m2: float, m3: float, m4: float) -> float:

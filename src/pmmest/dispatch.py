@@ -1,6 +1,10 @@
-"""Data-driven method selection among OLS/CSS, PMM2, and PMM3.
+"""Method routing: the one map from a method name to a fitter, and data-driven selection.
 
-Decision rule, applied to the sample cumulants of baseline residuals:
+``fit_model`` is the front door every caller fits through: a DesignProblem
+goes to the regression fitters, a series to the time-series fitters of its
+ModelOrder, which choose their own route for pure AR orders.
+
+Selection rule, applied to the sample cumulants of baseline residuals:
 
 1. |gamma3| < symmetric_threshold and gamma4 < 0  ->  PMM3
 2. else |gamma3| >= skew_threshold and g2 < g2_ceiling  ->  PMM2
@@ -17,19 +21,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cumulants import MomentSet, central_moments, g3_coefficient
+from .cumulants import _clamped_g2, central_moments, g3_coefficient
 from .errors import DegenerateInputError, InadmissibleCumulantsError, InputTooShortError
 from .linmodel import DesignProblem, fit_ols, fit_pmm2, fit_pmm3, information_criteria
 from .tscore import ModelOrder, fit_css
-from .tspmm import fit_ar_pmm2, fit_ts_pmm2, fit_ts_pmm3
+from .tspmm import fit_ts_pmm2, fit_ts_pmm3
 
 __all__ = [
     "DispatchConfig",
     "DispatchDecision",
     "select_method",
     "dispatch_fit",
+    "fit_model",
     "render_decision",
 ]
+
+_REGRESSION_FITTERS = {"OLS": fit_ols, "PMM2": fit_pmm2, "PMM3": fit_pmm3}
+_TS_FITTERS = {"CSS": fit_css, "PMM2": fit_ts_pmm2, "PMM3": fit_ts_pmm3}
+
+
+def _method_name(method: str, regression: bool) -> str:
+    """Canonical table key: case-insensitive, "ols" and "css" both name the baseline."""
+    table = _REGRESSION_FITTERS if regression else _TS_FITTERS
+    key = method.upper()
+    if key in ("OLS", "CSS"):
+        key = "OLS" if regression else "CSS"
+    if key not in table:
+        raise ValueError(f"method must be one of {sorted(table)}, got {method!r}")
+    return key
+
+
+def fit_model(data, method: str, order: ModelOrder | None = None):
+    """Fit ``data`` by ``method`` ("ols"/"css", "pmm2" or "pmm3", any case).
+
+    A DesignProblem is fit by the regression fitters and ``order`` is
+    ignored; anything else is a series fit with ``order`` by the time-series
+    fitters.  "ols" and "css" both mean the baseline of the data's kind.
+    """
+    if isinstance(data, DesignProblem):
+        return _REGRESSION_FITTERS[_method_name(method, True)](data)
+    if order is None:
+        raise ValueError("time-series fits need a ModelOrder")
+    return _TS_FITTERS[_method_name(method, False)](data, order)
 
 
 @dataclass(frozen=True)
@@ -58,13 +91,6 @@ class DispatchDecision:
     thresholds: DispatchConfig
 
 
-def _clamped_g2(mom: MomentSet) -> float:
-    denom = mom.gamma4 + 2.0
-    if denom <= 0.0:
-        return 0.0
-    return min(1.0, max(0.0, 1.0 - mom.gamma3**2 / denom))
-
-
 def select_method(residuals, config: DispatchConfig | None = None) -> DispatchDecision:
     """Apply the dispatch rule to a residual vector."""
     config = config or DispatchConfig()
@@ -74,7 +100,7 @@ def select_method(residuals, config: DispatchConfig | None = None) -> DispatchDe
     mom = central_moments(residuals)
     if mom.degenerate:
         raise DegenerateInputError("residuals have zero variance")
-    g2 = _clamped_g2(mom)
+    g2 = _clamped_g2(mom, [])
     try:
         g3 = g3_coefficient(mom.gamma4, mom.gamma6)
     except InadmissibleCumulantsError:
@@ -139,31 +165,13 @@ def dispatch_fit(data, kind: str, config: DispatchConfig | None = None,
     """
     config = config or DispatchConfig()
     if kind == "timeseries":
-        x = np.asarray(data, dtype=float)
+        data = np.asarray(data, dtype=float)
         if order is None:
-            order = _scan_ar_order(x)
-        base = fit_css(x, order)
-        decision = select_method(base.residuals, config)
-        if decision.method == "PMM2":
-            if order.q == 0 and order.P == 0 and order.Q == 0 and order.d + order.D == 0 \
-                    and order.p >= 1:
-                fit = fit_ar_pmm2(x, order.p, include_mean=order.include_mean)
-            else:
-                fit = fit_ts_pmm2(x, order)
-        elif decision.method == "PMM3":
-            fit = fit_ts_pmm3(x, order)
-        else:
-            fit = base
-        return decision, fit
-    if kind == "regression":
-        problem: DesignProblem = data
-        base = fit_ols(problem)
-        decision = select_method(base.residuals, config)
-        if decision.method == "PMM2":
-            fit = fit_pmm2(problem)
-        elif decision.method == "PMM3":
-            fit = fit_pmm3(problem)
-        else:
-            fit = base
-        return decision, fit
-    raise ValueError(f"kind must be 'timeseries' or 'regression', got {kind!r}")
+            order = _scan_ar_order(data)
+    elif kind != "regression":
+        raise ValueError(f"kind must be 'timeseries' or 'regression', got {kind!r}")
+    base = fit_model(data, "ols", order)
+    decision = select_method(base.residuals, config)
+    if decision.method == "OLS_CSS":
+        return decision, base
+    return decision, fit_model(data, decision.method, order)

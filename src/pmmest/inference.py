@@ -12,19 +12,19 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
-from scipy.stats import norm
 
+# _REGRESSION_FITTERS is bound here for bench/test_bench.py, which checks
+# that the tracer rewrites the one regression table in place.
+from .dispatch import _REGRESSION_FITTERS, _method_name, fit_model  # noqa: F401
 from .errors import FitFailureError
-from .linmodel import DesignProblem, fit_ols, fit_pmm2, fit_pmm3
+from .linmodel import DesignProblem
 from .tscore import (
     ModelOrder,
     expand_polynomial,
-    fit_css,
     integrate_forecast,
     ma_expand_polynomial,
     param_names,
 )
-from .tspmm import fit_ar_pmm2, fit_ts_pmm2, fit_ts_pmm3
 
 __all__ = [
     "BootstrapResult",
@@ -32,9 +32,6 @@ __all__ = [
     "block_bootstrap_ts",
     "default_block_length",
 ]
-
-_REGRESSION_FITTERS = {"OLS": fit_ols, "PMM2": fit_pmm2, "PMM3": fit_pmm3}
-
 
 @dataclass
 class BootstrapResult:
@@ -71,7 +68,7 @@ def _summarize(names, estimate, reps, B, scheme, fit_method, level, seed,
     hi = np.quantile(reps, 1.0 - alpha, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0.0, estimate / se, math.nan)
-    p = np.where(np.isnan(t), math.nan, 2.0 * norm.sf(np.abs(t)))
+    p = np.array([math.erfc(abs(v) / math.sqrt(2.0)) for v in t])
     return BootstrapResult(
         parameters=list(names), estimate=np.asarray(estimate, dtype=float),
         std_error=se, t_value=t, p_value=p, conf_low=lo, conf_high=hi,
@@ -98,12 +95,9 @@ def residual_bootstrap(problem: DesignProblem, method: str = "PMM2", B: int = 50
     refit raises or fails to converge are dropped; more than 10% drops is an
     error.
     """
-    method = method.upper()
-    if method not in _REGRESSION_FITTERS:
-        raise ValueError(f"method must be one of {sorted(_REGRESSION_FITTERS)}")
+    method = _method_name(method, regression=True)
     _check_b(B)
-    fitter = _REGRESSION_FITTERS[method]
-    base = fitter(problem)
+    base = fit_model(problem, method)
     fitted = problem.X @ base.coefficients
     centered = base.residuals - base.residuals.mean()
     n = problem.n
@@ -116,8 +110,8 @@ def residual_bootstrap(problem: DesignProblem, method: str = "PMM2", B: int = 50
         try:
             with _warnings.catch_warnings():
                 _warnings.simplefilter("ignore")
-                refit = fitter(DesignProblem(problem.X, y_star,
-                                             list(problem.column_names)))
+                refit = fit_model(DesignProblem(problem.X, y_star,
+                                                list(problem.column_names)), method)
             if not refit.converged:
                 raise FitFailureError("replicate did not converge")
             reps.append(refit.coefficients)
@@ -140,20 +134,6 @@ def default_block_length(n: int) -> int:
     return b
 
 
-def _ts_fitter(method: str, order: ModelOrder):
-    method = method.upper()
-    if method == "CSS":
-        return lambda x: fit_css(x, order)
-    if method == "PMM2":
-        if order.q == 0 and order.P == 0 and order.Q == 0 and order.d + order.D == 0 \
-                and order.p >= 1:
-            return lambda x: fit_ar_pmm2(x, order.p, include_mean=order.include_mean)
-        return lambda x: fit_ts_pmm2(x, order)
-    if method == "PMM3":
-        return lambda x: fit_ts_pmm3(x, order)
-    raise ValueError(f"method must be CSS, PMM2, or PMM3, got {method!r}")
-
-
 def block_bootstrap_ts(x, order: ModelOrder, method: str = "PMM2", B: int = 500,
                        block_length: int | None = None, level: float = 0.95,
                        seed: int = 0, keep_replicates: bool = False) -> BootstrapResult:
@@ -170,7 +150,8 @@ def block_bootstrap_ts(x, order: ModelOrder, method: str = "PMM2", B: int = 500,
     if block_length is None:
         block_length = default_block_length(n)
     _check_b(B)
-    base = _ts_fitter(method, order)(x)
+    method = _method_name(method, regression=False)
+    base = fit_model(x, method, order)
     resid = np.asarray(base.residuals, dtype=float)
     n_w = resid.size
     if block_length < 2:
@@ -183,7 +164,6 @@ def block_bootstrap_ts(x, order: ModelOrder, method: str = "PMM2", B: int = 500,
     num = np.concatenate([[1.0], b])
     den = np.concatenate([[1.0], -a])
     head = x[:order.d + order.D * order.s]
-    fitter = _ts_fitter(method, order)
     children = np.random.SeedSequence(seed).spawn(B)
     reps, n_failed = [], 0
     n_blocks = len(blocks)
@@ -204,7 +184,7 @@ def block_bootstrap_ts(x, order: ModelOrder, method: str = "PMM2", B: int = 500,
         try:
             with _warnings.catch_warnings():
                 _warnings.simplefilter("ignore")
-                refit = fitter(x_star)
+                refit = fit_model(x_star, method, order)
             if not refit.converged:
                 raise FitFailureError("replicate did not converge")
             reps.append(refit.params.to_vector(order))
@@ -213,5 +193,5 @@ def block_bootstrap_ts(x, order: ModelOrder, method: str = "PMM2", B: int = 500,
     if n_failed > 0.1 * B:
         raise FitFailureError(f"{n_failed}/{B} bootstrap refits failed")
     return _summarize(param_names(order), base.params.to_vector(order), reps, B,
-                      "block", method.upper(), level, seed, n_failed,
+                      "block", method, level, seed, n_failed,
                       block_length, keep_replicates)

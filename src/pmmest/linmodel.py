@@ -9,15 +9,15 @@ an infinity-norm coefficient-change rule.
 import math
 import warnings as _warnings
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .cumulants import (
     MomentSet,
+    _clamped_g2,
+    _clamped_g3,
     central_moments,
-    g2_coefficient,
-    g3_coefficient,
     pmm2_weight,
     pmm3_weights,
 )
@@ -25,7 +25,6 @@ from .errors import (
     DegenerateDistributionError,
     DegenerateMomentsError,
     FitFailureError,
-    InadmissibleCumulantsError,
     InputTooShortError,
     SingularDesignError,
 )
@@ -131,34 +130,6 @@ def _moments_or_none(residuals) -> MomentSet | None:
     return central_moments(residuals)
 
 
-def _g2_with_fallback(mom: MomentSet | None, warns: list[str]) -> float:
-    """g2 from sample cumulants, clamped into [0, 1] with a warning on violations."""
-    if mom is None or mom.degenerate:
-        warns.append("residual cumulants unavailable; g2 set to 1")
-        return 1.0
-    try:
-        return g2_coefficient(mom.gamma3, mom.gamma4)
-    except InadmissibleCumulantsError:
-        raw = 0.0 if mom.gamma4 + 2.0 <= 0.0 else 1.0 - mom.gamma3**2 / (mom.gamma4 + 2.0)
-        g = min(1.0, max(0.0, raw))
-        warns.append(f"sample cumulants inadmissible for g2; clamped to {g:g}")
-        return g
-
-
-def _g3_with_fallback(mom: MomentSet | None, warns: list[str]) -> float:
-    if mom is None or mom.degenerate:
-        warns.append("residual cumulants unavailable; g3 set to 1")
-        return 1.0
-    try:
-        return g3_coefficient(mom.gamma4, mom.gamma6)
-    except InadmissibleCumulantsError:
-        denom = 6.0 + 9.0 * mom.gamma4 + mom.gamma6
-        raw = 0.0 if denom <= 0.0 else 1.0 - mom.gamma4**2 / denom
-        g = min(1.0, max(0.0, raw))
-        warns.append(f"sample cumulants inadmissible for g3; clamped to {g:g}")
-        return g
-
-
 def fit_ols(problem: DesignProblem) -> RegressionFit:
     """Ordinary least squares via QR; the baseline for every comparison."""
     solve, _, _ = _qr_solver(problem)
@@ -214,7 +185,7 @@ def fit_pmm2(problem: DesignProblem, tol: float = 1e-6, max_iter: int = 200) -> 
         _warnings.warn("fit_pmm2 did not converge", RuntimeWarning, stacklevel=2)
     residuals = problem.y - problem.X @ beta
     mom = _moments_or_none(residuals)
-    g2 = _g2_with_fallback(mom, warns)
+    g2 = _clamped_g2(mom, warns)
     return RegressionFit("PMM2", beta, residuals, mom, g2, iterations, converged, warns)
 
 
@@ -263,7 +234,7 @@ def fit_pmm3(problem: DesignProblem, tol: float = 1e-6, max_iter: int = 200) -> 
         _warnings.warn("fit_pmm3 did not converge", RuntimeWarning, stacklevel=2)
     residuals = problem.y - problem.X @ beta
     mom = _moments_or_none(residuals)
-    g3 = _g3_with_fallback(mom, warns)
+    g3 = _clamped_g3(mom, warns)
     return RegressionFit("PMM3", beta, residuals, mom, g3, iterations, converged, warns)
 
 
@@ -285,7 +256,7 @@ def confidence_intervals(fit: RegressionFit, problem: DesignProblem,
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     cov = asymptotic_covariance(fit, problem)
-    z = norm.ppf(0.5 + level / 2.0)
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     half = z * np.sqrt(np.diag(cov))
     return np.column_stack([fit.coefficients - half, fit.coefficients + half])
 

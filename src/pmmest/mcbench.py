@@ -1,13 +1,9 @@
 """Innovation-distribution catalog with exact cumulants and the Monte Carlo engine.
 
-Families and their parameter tuples (all optionally standardized to mean 0):
-
-    gaussian(sd)            gamma(shape, rate)       lognormal(mu, sigma)
-    chisq(df)               uniform(low, high)       beta(a, b)
-    laplace(scale)          triangular(half_width)   # symmetric, mode 0
-
-Sixth-cumulant closed forms are implemented for the symmetric families
-(gaussian, uniform, laplace, triangular); g3 is reported only for those.
+Innovation laws live in ``_FAMILIES``, one record each with its parameter
+keys and defaults, validity check, mean, exact cumulants and sampler; every
+law can be standardized to mean 0.  Sixth-cumulant closed forms exist for
+the symmetric families only, so g3 is reported only for those.
 
 The engine simulates ``n_sim`` data sets per specification, fits every
 requested method, and reports MSE / bias / variance / coverage plus the
@@ -19,24 +15,24 @@ theoretical g2 or g3.  The "ml" method name is accepted as an alias for
 import csv
 import math
 import warnings as _warnings
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .cumulants import CumulantProfile, g2_coefficient, g3_coefficient
+from .dispatch import fit_model
 from .errors import FitFailureError
-from .linmodel import asymptotic_covariance, build_design, fit_ols, fit_pmm2, fit_pmm3
+from .linmodel import asymptotic_covariance, build_design
 from .tscore import (
     ModelOrder,
     TsParams,
-    fit_css,
     param_names,
     simulate_arima,
     ts_asymptotic_covariance,
 )
-from .tspmm import fit_ar_pmm2, fit_ts_pmm2, fit_ts_pmm3
 
 __all__ = [
     "InnovationSpec",
@@ -51,18 +47,6 @@ __all__ = [
     "advantage_grid",
 ]
 
-_FAMILY_DEFAULTS = {
-    "gaussian": (1.0,),
-    "gamma": (2.0, 1.0),
-    "lognormal": (0.0, 0.55),
-    "chisq": (3.0,),
-    "uniform": (-1.0, 1.0),
-    "beta": (2.0, 5.0),
-    "laplace": (1.0,),
-    "triangular": (1.0,),
-}
-
-
 @dataclass(frozen=True)
 class InnovationSpec:
     """I.i.d. innovation law; ``params`` may be a prefix of the family tuple."""
@@ -72,82 +56,98 @@ class InnovationSpec:
     standardized: bool = True
 
 
-def _resolve_params(spec: InnovationSpec) -> tuple:
-    if spec.family not in _FAMILY_DEFAULTS:
+@dataclass(frozen=True)
+class _Family:
+    """One innovation law: parameter keys and defaults, the check that rejects
+    a parameter tuple (with its message), the mean of the unshifted law, the
+    exact cumulants (gamma3, gamma4, gamma6 or None) and the sampler."""
+
+    keys: tuple
+    defaults: tuple
+    invalid: Callable
+    message: str
+    mean: Callable
+    cumulants: Callable
+    draw: Callable
+
+
+def _lognormal_cumulants(p):
+    w = math.exp(p[1] ** 2)
+    return (w + 2.0) * math.sqrt(w - 1.0), w**4 + 2.0 * w**3 + 3.0 * w**2 - 6.0, None
+
+
+def _beta_cumulants(p):
+    a, b = p
+    gamma3 = 2.0 * (b - a) * math.sqrt(a + b + 1.0) / ((a + b + 2.0) * math.sqrt(a * b))
+    gamma4 = 6.0 * ((a - b) ** 2 * (a + b + 1.0) - a * b * (a + b + 2.0)) \
+        / (a * b * (a + b + 2.0) * (a + b + 3.0))
+    return gamma3, gamma4, None
+
+
+# Sixth cumulants are closed-form for the symmetric families only.
+_FAMILIES = {
+    "gaussian": _Family(
+        ("sd",), (1.0,), lambda p: p[0] <= 0, "gaussian sd must be positive",
+        lambda p: 0.0, lambda p: (0.0, 0.0, 0.0),
+        lambda rng, p, n: rng.normal(0.0, p[0], n)),
+    "gamma": _Family(
+        ("shape", "rate"), (2.0, 1.0), lambda p: p[0] <= 0 or p[1] <= 0,
+        "gamma shape and rate must be positive",
+        lambda p: p[0] / p[1], lambda p: (2.0 / math.sqrt(p[0]), 6.0 / p[0], None),
+        lambda rng, p, n: rng.gamma(p[0], 1.0 / p[1], n)),
+    "lognormal": _Family(
+        ("mu", "sigma"), (0.0, 0.55), lambda p: p[1] <= 0, "lognormal sigma must be positive",
+        lambda p: math.exp(p[0] + p[1] ** 2 / 2.0), _lognormal_cumulants,
+        lambda rng, p, n: rng.lognormal(p[0], p[1], n)),
+    "chisq": _Family(
+        ("df",), (3.0,), lambda p: p[0] <= 0, "chisq df must be positive",
+        lambda p: p[0], lambda p: (math.sqrt(8.0 / p[0]), 12.0 / p[0], None),
+        lambda rng, p, n: rng.chisquare(p[0], n)),
+    "uniform": _Family(
+        ("low", "high"), (-1.0, 1.0), lambda p: p[0] >= p[1], "uniform requires low < high",
+        lambda p: (p[0] + p[1]) / 2.0, lambda p: (0.0, -1.2, 48.0 / 7.0),
+        lambda rng, p, n: rng.uniform(p[0], p[1], n)),
+    "beta": _Family(
+        ("a", "b"), (2.0, 5.0), lambda p: p[0] <= 0 or p[1] <= 0,
+        "beta shape parameters must be positive",
+        lambda p: p[0] / (p[0] + p[1]), _beta_cumulants,
+        lambda rng, p, n: rng.beta(p[0], p[1], n)),
+    "laplace": _Family(
+        ("scale",), (1.0,), lambda p: p[0] <= 0, "laplace scale must be positive",
+        lambda p: 0.0, lambda p: (0.0, 3.0, 30.0),
+        lambda rng, p, n: rng.laplace(0.0, p[0], n)),
+    "triangular": _Family(  # symmetric, mode 0
+        ("half_width",), (1.0,), lambda p: p[0] <= 0, "triangular half width must be positive",
+        lambda p: 0.0, lambda p: (0.0, -0.6, 12.0 / 7.0),
+        lambda rng, p, n: rng.triangular(-p[0], 0.0, p[0], n)),
+}
+
+
+def _resolve(spec: InnovationSpec) -> tuple[_Family, tuple]:
+    """The family record of ``spec`` and its full, validated parameter tuple."""
+    family = _FAMILIES.get(spec.family)
+    if family is None:
         raise ValueError(f"unknown innovation family {spec.family!r}; "
-                         f"choose from {sorted(_FAMILY_DEFAULTS)}")
-    defaults = _FAMILY_DEFAULTS[spec.family]
+                         f"choose from {sorted(_FAMILIES)}")
     given = tuple(float(v) for v in spec.params)
-    if len(given) > len(defaults):
-        raise ValueError(f"{spec.family} takes at most {len(defaults)} parameters")
-    params = given + defaults[len(given):]
-    fam = spec.family
-    if fam == "gaussian" and params[0] <= 0:
-        raise ValueError("gaussian sd must be positive")
-    if fam == "gamma" and (params[0] <= 0 or params[1] <= 0):
-        raise ValueError("gamma shape and rate must be positive")
-    if fam == "lognormal" and params[1] <= 0:
-        raise ValueError("lognormal sigma must be positive")
-    if fam == "chisq" and params[0] <= 0:
-        raise ValueError("chisq df must be positive")
-    if fam == "uniform" and params[0] >= params[1]:
-        raise ValueError("uniform requires low < high")
-    if fam == "beta" and (params[0] <= 0 or params[1] <= 0):
-        raise ValueError("beta shape parameters must be positive")
-    if fam == "laplace" and params[0] <= 0:
-        raise ValueError("laplace scale must be positive")
-    if fam == "triangular" and params[0] <= 0:
-        raise ValueError("triangular half width must be positive")
-    return params
+    if len(given) > len(family.defaults):
+        raise ValueError(f"{spec.family} takes at most {len(family.defaults)} parameters")
+    params = given + family.defaults[len(given):]
+    if family.invalid(params):
+        raise ValueError(family.message)
+    return family, params
 
 
 def innovation_mean(spec: InnovationSpec) -> float:
     """Population mean of the unshifted law (the standardizing shift)."""
-    p = _resolve_params(spec)
-    fam = spec.family
-    if fam == "gaussian":
-        return 0.0
-    if fam == "gamma":
-        return p[0] / p[1]
-    if fam == "lognormal":
-        return math.exp(p[0] + p[1] ** 2 / 2.0)
-    if fam == "chisq":
-        return p[0]
-    if fam == "uniform":
-        return (p[0] + p[1]) / 2.0
-    if fam == "beta":
-        return p[0] / (p[0] + p[1])
-    return 0.0  # laplace, triangular are centered already
+    family, params = _resolve(spec)
+    return family.mean(params)
 
 
 def innovation_theory(spec: InnovationSpec) -> CumulantProfile:
     """Exact population cumulants and efficiency coefficients of the family."""
-    p = _resolve_params(spec)
-    fam = spec.family
-    gamma6 = None
-    if fam == "gaussian":
-        gamma3, gamma4, gamma6 = 0.0, 0.0, 0.0
-    elif fam == "gamma":
-        k = p[0]
-        gamma3, gamma4 = 2.0 / math.sqrt(k), 6.0 / k
-    elif fam == "lognormal":
-        w = math.exp(p[1] ** 2)
-        gamma3 = (w + 2.0) * math.sqrt(w - 1.0)
-        gamma4 = w**4 + 2.0 * w**3 + 3.0 * w**2 - 6.0
-    elif fam == "chisq":
-        k = p[0]
-        gamma3, gamma4 = math.sqrt(8.0 / k), 12.0 / k
-    elif fam == "uniform":
-        gamma3, gamma4, gamma6 = 0.0, -1.2, 48.0 / 7.0
-    elif fam == "beta":
-        a, b = p
-        gamma3 = 2.0 * (b - a) * math.sqrt(a + b + 1.0) / ((a + b + 2.0) * math.sqrt(a * b))
-        gamma4 = 6.0 * ((a - b) ** 2 * (a + b + 1.0) - a * b * (a + b + 2.0)) \
-            / (a * b * (a + b + 2.0) * (a + b + 3.0))
-    elif fam == "laplace":
-        gamma3, gamma4, gamma6 = 0.0, 3.0, 30.0
-    else:  # triangular
-        gamma3, gamma4, gamma6 = 0.0, -0.6, 12.0 / 7.0
+    family, params = _resolve(spec)
+    gamma3, gamma4, gamma6 = family.cumulants(params)
     g2 = g2_coefficient(gamma3, gamma4)
     g3 = g3_coefficient(gamma4, gamma6) if gamma6 is not None else None
     return CumulantProfile(gamma3, gamma4, gamma6, g2, g3)
@@ -155,26 +155,10 @@ def innovation_theory(spec: InnovationSpec) -> CumulantProfile:
 
 def sample_innovations(spec: InnovationSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n i.i.d. innovations, shifted to mean zero when standardized."""
-    p = _resolve_params(spec)
-    fam = spec.family
-    if fam == "gaussian":
-        x = rng.normal(0.0, p[0], n)
-    elif fam == "gamma":
-        x = rng.gamma(p[0], 1.0 / p[1], n)
-    elif fam == "lognormal":
-        x = rng.lognormal(p[0], p[1], n)
-    elif fam == "chisq":
-        x = rng.chisquare(p[0], n)
-    elif fam == "uniform":
-        x = rng.uniform(p[0], p[1], n)
-    elif fam == "beta":
-        x = rng.beta(p[0], p[1], n)
-    elif fam == "laplace":
-        x = rng.laplace(0.0, p[0], n)
-    else:  # triangular
-        x = rng.triangular(-p[0], 0.0, p[0], n)
+    family, params = _resolve(spec)
+    x = family.draw(rng, params, n)
     if spec.standardized:
-        x = x - innovation_mean(spec)
+        x = x - family.mean(params)
     return x
 
 
@@ -295,37 +279,23 @@ def _simulate_spec(spec: McSpec, rng: np.random.Generator):
 
 def _fit_method(spec: McSpec, method: str, data, z: float):
     """Fit one method; return (estimates, covered-indicator vector)."""
-    theta = np.asarray(spec.theta)
+    fit = fit_model(data, method, spec.order)
+    if not fit.converged:
+        raise FitFailureError("fit did not converge")
     if spec.model == "regression":
-        fit = {"ols": fit_ols, "pmm2": fit_pmm2, "pmm3": fit_pmm3}[method](data)
-        if not fit.converged:
-            raise FitFailureError("fit did not converge")
-        est = fit.coefficients
         cov = asymptotic_covariance(fit, data)
     else:
-        order = spec.order
-        if method == "css":
-            fit = fit_css(data, order)
-        elif method == "pmm2":
-            if spec.model == "ar" and order.d + order.D == 0:
-                fit = fit_ar_pmm2(data, order.p, include_mean=order.include_mean)
-            else:
-                fit = fit_ts_pmm2(data, order)
-        else:
-            fit = fit_ts_pmm3(data, order)
-        if not fit.converged:
-            raise FitFailureError("fit did not converge")
-        est = fit.params.to_vector(order)
         cov = ts_asymptotic_covariance(fit)
+    est = fit.coefficients
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    covered = np.abs(est - theta) <= z * se
+    covered = np.abs(est - np.asarray(spec.theta)) <= z * se
     return est, covered
 
 
 def _run_replicate(spec: McSpec, methods, level: float, seed_seq):
     """One replicate: simulate once, fit all methods.  None signals failure."""
     rng = np.random.default_rng(seed_seq)
-    z = norm.ppf(0.5 + level / 2.0)
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     try:
         data = _simulate_spec(spec, rng)
         out = {}

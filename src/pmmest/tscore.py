@@ -377,15 +377,43 @@ def _unit_region_warnings(params: TsParams, order: ModelOrder, warns: list[str])
                          "(non-invertible region)")
 
 
+def _is_pure_ar(order: ModelOrder) -> bool:
+    """True when the order has AR terms and no MA or seasonal ARMA terms."""
+    return order.p >= 1 and order.q == 0 and order.P == 0 and order.Q == 0
+
+
 def _finish_ts_fit(method, x, w, params, order, warns, converged,
-                   g: float = 1.0, moments: MomentSet | None = None) -> TsFit:
+                   efficiency=None) -> TsFit:
+    """Residuals, sum of squares and moments of ``params``; ``efficiency(moments,
+    warns)`` gives the fit's g (1 when None)."""
     residuals = css_residuals(w, params, order)
     objective = float(np.sum(residuals * residuals))
-    if moments is None and residuals.size >= 4:
-        moments = central_moments(residuals)
+    moments = central_moments(residuals) if residuals.size >= 4 else None
+    g = efficiency(moments, warns) if efficiency is not None else 1.0
     _unit_region_warnings(params, order, warns)
     return TsFit(method, order, params, residuals, np.asarray(x, dtype=float),
                  moments, g, objective, converged, warns)
+
+
+def _lag_design_fit(method, fitter, x, w, order, efficiency=None) -> TsFit:
+    """Fit a pure AR order by a regression fitter on the lag design of ``w``.
+
+    The regression intercept c maps to the process mean c / (1 - sum(phi)).
+    """
+    rfit = fitter(ar_design_matrix(w, order.p, include_mean=order.include_mean))
+    warns = list(rfit.warnings)
+    if order.include_mean:
+        intercept, phi = rfit.coefficients[0], rfit.coefficients[1:]
+        ar_sum = 1.0 - float(np.sum(phi))
+        if abs(ar_sum) > 1e-10:
+            mean = intercept / ar_sum
+        else:
+            mean = float(np.mean(w))
+            warns.append("AR coefficients sum to ~1; mean set to the sample mean")
+    else:
+        phi, mean = rfit.coefficients, 0.0
+    params = TsParams(phi, np.empty(0), np.empty(0), np.empty(0), mean)
+    return _finish_ts_fit(method, x, w, params, order, warns, rfit.converged, efficiency)
 
 
 def fit_css(x, order: ModelOrder) -> TsFit:
@@ -407,21 +435,8 @@ def fit_css(x, order: ModelOrder) -> TsFit:
         params = TsParams.zeros(order)
         params.mean = mean
         return _finish_ts_fit("CSS", x, w, params, order, warns, True)
-    if order.q == 0 and order.P == 0 and order.Q == 0:
-        problem = ar_design_matrix(w, order.p, include_mean=order.include_mean)
-        ofit = fit_ols(problem)
-        if order.include_mean:
-            intercept, phi = ofit.coefficients[0], ofit.coefficients[1:]
-            ar_sum = 1.0 - float(np.sum(phi))
-            if abs(ar_sum) > 1e-10:
-                mean = intercept / ar_sum
-            else:
-                mean = float(np.mean(w))
-                warns.append("AR coefficients sum to ~1; mean set to the sample mean")
-        else:
-            phi, mean = ofit.coefficients, 0.0
-        params = TsParams(phi, np.empty(0), np.empty(0), np.empty(0), mean)
-        return _finish_ts_fit("CSS", x, w, params, order, warns, True)
+    if _is_pure_ar(order):
+        return _lag_design_fit("CSS", fit_ols, x, w, order)
     start = TsParams.zeros(order)
     if order.include_mean:
         start.mean = float(np.mean(w))

@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from pmmest.cli import main
+from pmmest.cli import build_parser, main
 from pmmest.mcbench import InnovationSpec, sample_innovations
 from pmmest.tscore import ModelOrder, TsParams, simulate_arima
 
@@ -179,6 +179,36 @@ class TestSimulateCommand:
         code = main(["simulate", "--order", "2,0,0", "--ar", "0.7",
                      "--n", "50", "--output", str(tmp_path / "x.csv")])
         assert code == 2
+
+
+# --innovations text setting one key, and the full parameter tuple it must
+# give: the named key plus every other key's default.
+INNOVATION_FLAGS = {
+    "beta": ("beta:b=3", (2.0, 3.0)),
+    "chisq": ("chisq:df=4", (4.0,)),
+    "gamma": ("gamma:rate=2", (2.0, 2.0)),
+    "gaussian": ("gaussian:sd=2", (2.0,)),
+    "laplace": ("laplace:scale=0.5", (0.5,)),
+    "lognormal": ("lognormal:sigma=0.3", (0.0, 0.3)),
+    "triangular": ("triangular:half_width=2", (2.0,)),
+    "uniform": ("uniform:low=-2", (-2.0, 1.0)),
+}
+
+
+class TestInnovationsFlag:
+    @pytest.mark.parametrize("family", sorted(INNOVATION_FLAGS))
+    def test_named_key_fills_remaining_defaults(self, family, tmp_path):
+        text, params = INNOVATION_FLAGS[family]
+        args = build_parser().parse_args(["simulate", "--innovations", text, "--n", "30",
+                                          "--output", str(tmp_path / "sim.csv")])
+        assert args.innovations == InnovationSpec(family, params)
+        assert args.handler(args) == 0
+
+    def test_unknown_family_and_key_are_usage_errors(self, tmp_path):
+        out = str(tmp_path / "sim.csv")
+        for text in ("cauchy", "gamma:scale=2"):
+            assert main(["simulate", "--innovations", text, "--n", "30",
+                         "--output", out]) == 2
 
 
 class TestMcCommand:

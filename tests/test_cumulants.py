@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmmest.cumulants import (
+    MomentSet,
+    _clamped_g2,
+    _clamped_g3,
     central_moments,
     g2_coefficient,
     g3_coefficient,
@@ -133,6 +136,38 @@ class TestG3:
         gamma6 = gamma4 * gamma4 + slack - 6.0 - 9.0 * gamma4
         g = g3_coefficient(gamma4, gamma6)
         assert 0.0 <= g <= 1.0
+
+
+def moments_with(gamma3=0.0, gamma4=0.0, gamma6=0.0):
+    return MomentSet(100, 0.0, 1.0, 0.0, 3.0, 15.0, gamma3, gamma4, gamma6)
+
+
+class TestSampleClamps:
+    def test_admissible_equals_coefficients(self):
+        warns = []
+        assert _clamped_g2(moments_with(1.2, 2.0), warns) == g2_coefficient(1.2, 2.0)
+        assert _clamped_g3(moments_with(0.0, -1.2, 6.857), warns) == g3_coefficient(-1.2, 6.857)
+        assert warns == []
+
+    def test_inadmissible_g2_clamps_to_zero(self):
+        for gamma3, gamma4 in ((2.0, 0.0), (0.5, -2.5)):
+            warns = []
+            assert _clamped_g2(moments_with(gamma3, gamma4), warns) == 0.0
+            assert warns == ["sample cumulants inadmissible for g2; clamped to 0"]
+
+    def test_inadmissible_g3_clamps_into_unit_interval(self):
+        # gamma4 < -2 (a two-point sample) with an otherwise valid formula value
+        warns = []
+        g = _clamped_g3(moments_with(0.0, -2.02, 16.27), warns)
+        assert g == pytest.approx(1.0 - 2.02**2 / (6.0 - 9.0 * 2.02 + 16.27), rel=1e-12)
+        assert 0.0 < g < 1.0 and len(warns) == 1
+        assert _clamped_g3(moments_with(0.0, 3.0, -25.0), []) == 0.0
+
+    def test_missing_moments_give_one(self):
+        warns = []
+        assert _clamped_g2(None, warns) == 1.0
+        assert _clamped_g3(central_moments(np.ones(10)), warns) == 1.0
+        assert len(warns) == 2
 
 
 class TestPmm2Weight:

@@ -1,12 +1,24 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 
 from helpers import vector_with_cumulants
-from pmmest.dispatch import DispatchConfig, dispatch_fit, render_decision, select_method
+from pmmest import cli, dispatch, inference, mcbench
+from pmmest.dispatch import (
+    DispatchConfig,
+    dispatch_fit,
+    fit_model,
+    render_decision,
+    select_method,
+)
 from pmmest.errors import DegenerateInputError, InputTooShortError
-from pmmest.linmodel import RegressionFit, build_design
-from pmmest.mcbench import InnovationSpec, sample_innovations
-from pmmest.tscore import ModelOrder, TsFit, TsParams, simulate_arima
+from pmmest.inference import block_bootstrap_ts
+from pmmest.linmodel import RegressionFit, build_design, fit_ols, fit_pmm2
+from pmmest.mcbench import InnovationSpec, McSpec, sample_innovations
+from pmmest.tscore import ModelOrder, TsFit, TsParams, fit_css, simulate_arima
+from pmmest.tspmm import fit_ar_pmm2, fit_ts_pmm2, fit_ts_pmm3
 
 
 class TestSelectMethod:
@@ -128,3 +140,76 @@ class TestDispatchFit:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             dispatch_fit(np.ones(20), "panel")
+
+
+def gamma_arma_series(n=300, seed=11):
+    rng = np.random.default_rng(seed)
+    order = ModelOrder(p=1, q=1)
+    eps = sample_innovations(InnovationSpec("gamma"), n + 100, rng)
+    return simulate_arima(order, TsParams([0.6], [0.3], [], [], 0.5), eps, 100)
+
+
+class TestFitModel:
+    def test_regression_table_is_shared(self):
+        assert inference._REGRESSION_FITTERS is dispatch._REGRESSION_FITTERS
+
+    def test_method_names_and_baseline_alias(self):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal(60)
+        problem = build_design(1.0 + x + rng.gamma(2.0, 1.0, 60), [x])
+        for name in ("ols", "CSS", "Ols"):
+            assert np.array_equal(fit_model(problem, name).coefficients,
+                                  fit_ols(problem).coefficients)
+        assert np.array_equal(fit_model(problem, "Pmm2").coefficients,
+                              fit_pmm2(problem).coefficients)
+        series = gamma_arma_series()
+        order = ModelOrder(p=1)
+        for name in ("ols", "css", "CSS"):
+            fit = fit_model(series, name, order)
+            assert fit.method == "CSS"
+            assert np.array_equal(fit.coefficients, fit_css(series, order).coefficients)
+
+    def test_rejects_unknown_method_and_missing_order(self):
+        with pytest.raises(ValueError, match="method must be one of"):
+            fit_model(gamma_arma_series(), "ml", ModelOrder(p=1))
+        with pytest.raises(ValueError, match="ModelOrder"):
+            fit_model(gamma_arma_series(), "css")
+
+
+AGREEMENT_CASES = [
+    ((1, 0, 0), "CSS", fit_css),
+    ((1, 0, 0), "PMM2", fit_ts_pmm2),
+    ((1, 0, 0), "PMM3", fit_ts_pmm3),
+    ((1, 1, 0), "CSS", fit_css),
+    ((1, 1, 0), "PMM2", fit_ts_pmm2),
+    ((1, 0, 1), "CSS", fit_css),
+    ((1, 0, 1), "PMM2", fit_ts_pmm2),
+]
+
+
+@pytest.mark.parametrize("triple, method, fitter", AGREEMENT_CASES,
+                         ids=[f"{m}-{t}" for t, m, _ in AGREEMENT_CASES])
+def test_entry_points_agree_bit_for_bit(triple, method, fitter, tmp_path):
+    x = gamma_arma_series()
+    p, d, q = triple
+    order = ModelOrder(p=p, d=d, q=q)
+    expected = fitter(x, order).coefficients
+    assert np.array_equal(fit_model(x, method, order).coefficients, expected)
+    if triple == (1, 0, 0) and method == "PMM2":
+        assert np.array_equal(fit_ar_pmm2(x, 1).coefficients, expected)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        boot = block_bootstrap_ts(x, order, method=method, B=2, seed=1)
+    assert np.array_equal(boot.estimate, expected)
+    spec = McSpec("arima", tuple(expected), InnovationSpec("gamma"), x.size, order=order)
+    est, _ = mcbench._fit_method(spec, method.lower(), x, 1.96)
+    assert np.array_equal(est, expected)
+    path = tmp_path / "series.csv"
+    path.write_text("y\n" + "".join(f"{float(v)!r}\n" for v in x))
+    out = tmp_path / "fit.json"
+    code = cli.main(["fit", "--input", str(path), "--column", "y", "--method", method.lower(),
+                     "--order", ",".join(map(str, triple)), "--output", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert [report["coefficients"][name] for name in fit_model(x, method, order).param_names] \
+        == list(expected)

@@ -80,10 +80,49 @@ class TestInnovationTheory:
             innovation_theory(InnovationSpec("cauchy"))
 
 
+# Each family's draw at default parameters, written directly against numpy,
+# and its mean: sample_innovations must reproduce draw - mean bit for bit.
+DIRECT_DRAWS = {
+    "beta": (lambda rng, n: rng.beta(2.0, 5.0, n), 2.0 / 7.0),
+    "chisq": (lambda rng, n: rng.chisquare(3.0, n), 3.0),
+    "gamma": (lambda rng, n: rng.gamma(2.0, 1.0, n), 2.0),
+    "gaussian": (lambda rng, n: rng.normal(0.0, 1.0, n), 0.0),
+    "laplace": (lambda rng, n: rng.laplace(0.0, 1.0, n), 0.0),
+    "lognormal": (lambda rng, n: rng.lognormal(0.0, 0.55, n), math.exp(0.55**2 / 2.0)),
+    "triangular": (lambda rng, n: rng.triangular(-1.0, 0.0, 1.0, n), 0.0),
+    "uniform": (lambda rng, n: rng.uniform(-1.0, 1.0, n), 0.0),
+}
+
+# One invalid parameter tuple per family and the message it must raise.
+INVALID_PARAMS = {
+    "beta": ((2.0, 0.0), "beta shape parameters must be positive"),
+    "chisq": ((-3.0,), "chisq df must be positive"),
+    "gamma": ((2.0, -1.0), "gamma shape and rate must be positive"),
+    "gaussian": ((0.0,), "gaussian sd must be positive"),
+    "laplace": ((-1.0,), "laplace scale must be positive"),
+    "lognormal": ((0.0, 0.0), "lognormal sigma must be positive"),
+    "triangular": ((0.0,), "triangular half width must be positive"),
+    "uniform": ((1.0, 1.0), "uniform requires low < high"),
+}
+
+
 class TestSampleInnovations:
-    @pytest.mark.parametrize("family", sorted(f for f in
-                                              {"gaussian", "gamma", "lognormal", "chisq",
-                                               "uniform", "beta", "laplace", "triangular"}))
+    @pytest.mark.parametrize("family", sorted(DIRECT_DRAWS))
+    def test_draws_match_numpy_bit_for_bit(self, family):
+        draw, mean = DIRECT_DRAWS[family]
+        got = sample_innovations(InnovationSpec(family), 500, np.random.default_rng(0))
+        assert np.array_equal(got, draw(np.random.default_rng(0), 500) - mean)
+        assert innovation_mean(InnovationSpec(family)) == mean
+
+    @pytest.mark.parametrize("family", sorted(INVALID_PARAMS))
+    def test_invalid_params_message(self, family):
+        params, message = INVALID_PARAMS[family]
+        for call in (innovation_theory, innovation_mean):
+            with pytest.raises(ValueError) as exc:
+                call(InnovationSpec(family, params))
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("family", sorted(DIRECT_DRAWS))
     def test_standardized_mean_and_cumulants(self, family):
         # self-consistency gate: sample cumulants of a large draw must match
         # the closed forms within ~3 batch-estimated standard errors
@@ -162,6 +201,14 @@ class TestRunMonteCarlo:
     def test_n_sim_minimum(self):
         with pytest.raises(ValueError):
             run_monte_carlo([tiny_regression_spec()], ("ols",), 10, seed=0)
+
+    def test_ar_label_with_ma_order_completes(self):
+        # the fitter follows the order, not the model label
+        spec = McSpec(model="ar", theta=(0.5, 0.3, 0.0), innovations=InnovationSpec("gamma"),
+                      n=200, label="ar_q1", order=ModelOrder(p=1, q=1))
+        _, summary = run_monte_carlo([spec], ("css", "pmm2"), 50, seed=0)
+        assert summary.n_failed == {"ar_q1": 0}
+        assert {row.parameter for row in summary.rows} == {"ar1", "ma1", "mean"}
 
     def test_baseline_mismatch_rejected(self):
         spec = McSpec(model="ar", theta=(0.5, 0.0), innovations=InnovationSpec("gaussian"),
