@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -35,38 +36,29 @@ class UsageError(Exception):
 # Flag value parsers (argparse type= callables; errors exit with code 2)
 # ---------------------------------------------------------------------------
 
-def _order_triple(text: str) -> tuple[int, int, int]:
-    try:
-        parts = [int(v) for v in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected p,d,q integers, got {text!r}")
-    if len(parts) != 3 or any(v < 0 for v in parts):
-        raise argparse.ArgumentTypeError(f"expected three non-negative integers, got {text!r}")
-    return tuple(parts)
+def _list_of(kind):
+    """Parser of a comma-separated list whose items ``kind`` (int or float) converts."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(v) for v in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind.__name__} values, got {text!r}")
+    return parse
 
 
-def _seasonal_quad(text: str) -> tuple[int, int, int, int]:
-    try:
-        parts = [int(v) for v in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected P,D,Q,s integers, got {text!r}")
-    if len(parts) != 4 or any(v < 0 for v in parts):
-        raise argparse.ArgumentTypeError(f"expected four non-negative integers, got {text!r}")
-    return tuple(parts)
+def _int_tuple(fields: str):
+    """Parser of one non-negative integer per name in ``fields``, e.g. "p,d,q"."""
+    size = len(fields.split(","))
+    ints = _list_of(int)
 
-
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    def parse(text: str) -> tuple:
+        values = ints(text)
+        if len(values) != size or any(v < 0 for v in values):
+            raise argparse.ArgumentTypeError(
+                f"expected {fields} as {size} non-negative integers, got {text!r}")
+        return values
+    return parse
 
 
 def _name_list(text: str) -> tuple[str, ...]:
@@ -116,8 +108,9 @@ def _seed_value(text: str) -> int:
 # ---------------------------------------------------------------------------
 
 def read_csv_columns(path, columns) -> dict[str, np.ndarray]:
-    """Read named columns from a headered CSV; missing/non-numeric values are
-    reported with row and column coordinates (header is row 1)."""
+    """Read named columns from a headered CSV; missing, non-numeric and
+    non-finite values are reported with row and column coordinates (header is
+    row 1)."""
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -142,10 +135,14 @@ def read_csv_columns(path, columns) -> dict[str, np.ndarray]:
                 if not cell:
                     raise DataError(f"{path}: row {rownum}, column {c!r}: missing value")
                 try:
-                    data[c].append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise DataError(
                         f"{path}: row {rownum}, column {c!r}: non-numeric value {cell!r}")
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"{path}: row {rownum}, column {c!r}: non-finite value {cell!r}")
+                data[c].append(value)
     if not data[columns[0]]:
         raise DataError(f"{path}: no data rows")
     return {c: np.asarray(v, dtype=float) for c, v in data.items()}
@@ -183,33 +180,6 @@ def write_report(report: dict, output):
         print(text)
 
 
-def _moments_dict(mom):
-    if mom is None:
-        return None
-    return {"n": mom.n, "mean": mom.mean, "m2": mom.m2, "m3": mom.m3,
-            "m4": mom.m4, "m6": mom.m6, "gamma3": mom.gamma3,
-            "gamma4": mom.gamma4, "gamma6": mom.gamma6,
-            "degenerate": mom.degenerate}
-
-
-def _order_dict(order: ModelOrder):
-    return {"p": order.p, "d": order.d, "q": order.q, "P": order.P,
-            "D": order.D, "Q": order.Q, "s": order.s,
-            "include_mean": order.include_mean}
-
-
-def _decision_dict(decision):
-    return {"method": decision.method, "n": decision.n,
-            "gamma3": decision.gamma3, "gamma4": decision.gamma4,
-            "gamma6": decision.gamma6, "g2": decision.g2, "g3": decision.g3,
-            "rationale": decision.rationale,
-            "thresholds": {
-                "skew_threshold": decision.thresholds.skew_threshold,
-                "g2_ceiling": decision.thresholds.g2_ceiling,
-                "symmetric_threshold": decision.thresholds.symmetric_threshold,
-            }}
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -227,7 +197,7 @@ def _fit_report_core(fit, kind: str, names=None):
     if isinstance(fit, TsFit):
         names = fit.param_names
         coefs = fit.params.to_vector(fit.order)
-        order = _order_dict(fit.order)
+        order = asdict(fit.order)
         n = fit.original_series.size
     else:
         names = names or [f"x{j + 1}" for j in range(fit.coefficients.size)]
@@ -241,7 +211,7 @@ def _fit_report_core(fit, kind: str, names=None):
         "n": int(n),
         "coefficients": dict(zip(names, [float(c) for c in coefs])),
         "g_coefficient": float(fit.g_coefficient),
-        "residual_cumulants": _moments_dict(fit.moments),
+        "residual_cumulants": None if fit.moments is None else asdict(fit.moments),
         "information_criteria": {"loglik": loglik, "aic": aic, "bic": bic},
         "converged": bool(fit.converged),
         "warnings": list(fit.warnings),
@@ -275,16 +245,13 @@ def cmd_fit(args) -> int:
     report["command"] = "fit"
     report["seed"] = args.seed
     if decision is not None:
-        report["dispatch"] = _decision_dict(decision)
+        report["dispatch"] = asdict(decision)
     write_report(report, args.output)
     return 0
 
 
 def _dispatch_config(args) -> DispatchConfig:
-    return DispatchConfig(
-        skew_threshold=getattr(args, "skew_threshold", 0.3),
-        g2_ceiling=getattr(args, "g2_ceiling", 0.95),
-        symmetric_threshold=getattr(args, "symmetric_threshold", 0.1))
+    return DispatchConfig(args.skew_threshold, args.g2_ceiling, args.symmetric_threshold)
 
 
 def cmd_dispatch(args) -> int:
@@ -293,7 +260,7 @@ def cmd_dispatch(args) -> int:
     print(render_decision(decision))
     if args.output:
         write_report({"schema_version": SCHEMA_VERSION, "command": "dispatch",
-                      "decision": _decision_dict(decision)}, args.output)
+                      "decision": asdict(decision)}, args.output)
     return 0
 
 
@@ -392,18 +359,19 @@ def _add_common_io(sub, with_design=True):
 
 
 def _add_order_flags(sub):
-    sub.add_argument("--order", type=_order_triple, default=None, metavar="p,d,q",
+    sub.add_argument("--order", type=_int_tuple("p,d,q"), default=None, metavar="p,d,q",
                      help="nonseasonal order; fit defaults to 1,0,0 for explicit "
                           "time-series methods, while auto scans AR orders")
-    sub.add_argument("--seasonal", type=_seasonal_quad, default=None, metavar="P,D,Q,s")
+    sub.add_argument("--seasonal", type=_int_tuple("P,D,Q,s"), default=None, metavar="P,D,Q,s")
     sub.add_argument("--no-mean", action="store_true",
                      help="exclude the mean term even when d + D = 0")
 
 
 def _add_dispatch_thresholds(sub):
-    sub.add_argument("--skew-threshold", type=float, default=0.3)
-    sub.add_argument("--g2-ceiling", type=float, default=0.95)
-    sub.add_argument("--symmetric-threshold", type=float, default=0.1)
+    sub.add_argument("--skew-threshold", type=float, default=DispatchConfig.skew_threshold)
+    sub.add_argument("--g2-ceiling", type=float, default=DispatchConfig.g2_ceiling)
+    sub.add_argument("--symmetric-threshold", type=float,
+                     default=DispatchConfig.symmetric_threshold)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,10 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("simulate", help="simulate an ARIMA series to CSV")
     _add_order_flags(p)
-    p.add_argument("--ar", type=_float_list, default=None, metavar="c1,c2,...")
-    p.add_argument("--ma", type=_float_list, default=None, metavar="c1,c2,...")
-    p.add_argument("--sar", type=_float_list, default=None, metavar="c1,...")
-    p.add_argument("--sma", type=_float_list, default=None, metavar="c1,...")
+    p.add_argument("--ar", type=_list_of(float), default=None, metavar="c1,c2,...")
+    p.add_argument("--ma", type=_list_of(float), default=None, metavar="c1,c2,...")
+    p.add_argument("--sar", type=_list_of(float), default=None, metavar="c1,...")
+    p.add_argument("--sma", type=_list_of(float), default=None, metavar="c1,...")
     p.add_argument("--mean", type=float, default=0.0)
     p.add_argument("--innovations", type=_innovations,
                    default=InnovationSpec("gaussian"),
@@ -464,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="arima",
                    choices=["regression", "ar", "ma", "arma", "arima"])
     _add_order_flags(p)
-    p.add_argument("--theta", type=_float_list, required=True,
+    p.add_argument("--theta", type=_list_of(float), required=True,
                    help="true parameter vector (matching the fitted one)")
     p.add_argument("--innovations", type=_innovations, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -478,13 +446,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_mc)
 
     p = subs.add_parser("grid", help="PMM2 advantage grid to long-format CSV")
-    p.add_argument("--grid-gamma3", type=_float_list, required=True)
-    p.add_argument("--grid-n", type=_int_list, required=True)
+    p.add_argument("--grid-gamma3", type=_list_of(float), required=True)
+    p.add_argument("--grid-n", type=_list_of(int), required=True)
     p.add_argument("--B", type=int, required=True, help="replications per cell")
     p.add_argument("--model", default="arima",
                    choices=["regression", "ar", "ma", "arma", "arima"])
     _add_order_flags(p)
-    p.add_argument("--theta", type=_float_list, default=(0.7,))
+    p.add_argument("--theta", type=_list_of(float), default=(0.7,))
     p.add_argument("--burnin", type=int, default=100)
     p.add_argument("--seed", type=_seed_value, default=0)
     p.add_argument("--jobs", type=int, default=1)

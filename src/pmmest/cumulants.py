@@ -15,9 +15,13 @@ Conventions used throughout the package:
 Admissibility violations (possible for small-sample plug-in estimates) raise
 errors in ``g2_coefficient``/``g3_coefficient``; ``_clamped_g2``/``_clamped_g3``
 are the one clamped fallback for sample moments.
+
+``_SCORES`` holds the two polynomial scores, PMM2 and PMM3, as one record
+each; every PMM fitter reads its weights, score, objective and g from there.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,3 +218,36 @@ def pmm3_weights(m2: float, m4: float, m6: float) -> tuple[float, float]:
     b1 = (m6 - 3.0 * m2 * m4) / det
     b3 = (3.0 * m2 * m2 - m4) / det
     return b1, b3
+
+
+@dataclass(frozen=True)
+class _Score:
+    """One PMM polynomial score psi(e) with weight tuple w, for every PMM fitter."""
+
+    weights: Callable    # MomentSet -> w; raises DegenerateDistribution/MomentsError
+    fallback: tuple      # the w whose score is the OLS/CSS one
+    psi: Callable        # (e, w, m2) -> psi(e)
+    slope: Callable      # (w, m2) -> E[psi'(e)], the Newton step divisor
+    objective: Callable  # (e, w, m2) -> summed antiderivative of psi
+    clamp: Callable      # (MomentSet | None, warns) -> the fit's g
+    extra_obs: int       # observations the weights need beyond the parameter count
+    symmetric: bool      # assumes symmetric errors: skewness and b1 < 0 are noted
+
+
+_SCORES = {
+    # psi = e + c*(e^2 - m2), w = (c,)
+    "PMM2": _Score(
+        lambda mom: (pmm2_weight(mom.m2, mom.m3, mom.m4),), (0.0,),
+        lambda e, w, m2: e + w[0] * (e * e - m2),
+        lambda w, m2: 1.0,
+        lambda e, w, m2: float(np.sum(0.5 * e * e + w[0] * (e**3 / 3.0 - m2 * e))),
+        _clamped_g2, 4, False),
+    # psi = b1*e + b3*e^3, w = (b1, b3); E[psi'] = b1 + 3*b3*m2 = h' M^-1 h > 0
+    # for a definite moment matrix M
+    "PMM3": _Score(
+        lambda mom: pmm3_weights(mom.m2, mom.m4, mom.m6), (1.0, 0.0),
+        lambda e, w, m2: w[0] * e + w[1] * e**3,
+        lambda w, m2: w[0] + 3.0 * w[1] * m2,
+        lambda e, w, m2: float(np.sum(0.5 * w[0] * e * e + 0.25 * w[1] * e**4)),
+        _clamped_g3, 6, True),
+}

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class PmmError(Exception):
     """Base class for all pmmest errors."""
@@ -35,3 +37,8 @@ class FitFailureError(PmmError):
 
 class DataError(PmmError):
     """Malformed input data (CSV parsing, missing values, wrong shapes)."""
+
+
+# What a bootstrap or Monte Carlo refit may raise on unlucky data; anything
+# else is a defect and must not be counted as a failed replicate.
+_REPLICATE_FAILURES = (PmmError, np.linalg.LinAlgError, FloatingPointError)

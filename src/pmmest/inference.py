@@ -11,20 +11,13 @@ import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 # _REGRESSION_FITTERS is bound here for bench/test_bench.py, which checks
 # that the tracer rewrites the one regression table in place.
 from .dispatch import _REGRESSION_FITTERS, _method_name, fit_model  # noqa: F401
-from .errors import FitFailureError
+from .errors import _REPLICATE_FAILURES, FitFailureError
 from .linmodel import DesignProblem
-from .tscore import (
-    ModelOrder,
-    expand_polynomial,
-    integrate_forecast,
-    ma_expand_polynomial,
-    param_names,
-)
+from .tscore import ModelOrder, _arma_filter, _lag_polynomials, integrate_forecast, param_names
 
 __all__ = [
     "BootstrapResult",
@@ -85,6 +78,31 @@ def _check_b(B: int):
                        UserWarning, stacklevel=3)
 
 
+def _replicate_estimates(B: int, seed: int, draw, refit) -> tuple[list, int]:
+    """Refit B resampled data sets; return (coefficient vectors, failed count).
+
+    Replicate i draws ``draw(rng)`` from its own SeedSequence child and fits
+    ``refit(data)`` with warnings silenced.  A refit that raises one of the
+    fit failures or does not converge is dropped; more than 10% drops is an
+    error.  Any other exception is a defect and propagates.
+    """
+    reps, n_failed = [], 0
+    for child in np.random.SeedSequence(seed).spawn(B):
+        data = draw(np.random.default_rng(child))
+        try:
+            with _warnings.catch_warnings():
+                _warnings.simplefilter("ignore")
+                fit = refit(data)
+            if not fit.converged:
+                raise FitFailureError("replicate did not converge")
+            reps.append(fit.coefficients)
+        except _REPLICATE_FAILURES:
+            n_failed += 1
+    if n_failed > 0.1 * B:
+        raise FitFailureError(f"{n_failed}/{B} bootstrap refits failed")
+    return reps, n_failed
+
+
 def residual_bootstrap(problem: DesignProblem, method: str = "PMM2", B: int = 500,
                        level: float = 0.95, seed: int = 0,
                        keep_replicates: bool = False) -> BootstrapResult:
@@ -101,24 +119,10 @@ def residual_bootstrap(problem: DesignProblem, method: str = "PMM2", B: int = 50
     fitted = problem.X @ base.coefficients
     centered = base.residuals - base.residuals.mean()
     n = problem.n
-    children = np.random.SeedSequence(seed).spawn(B)
-    reps, n_failed = [], 0
-    for i in range(B):
-        rng = np.random.default_rng(children[i])
-        idx = rng.integers(0, n, size=n)
-        y_star = fitted + centered[idx]
-        try:
-            with _warnings.catch_warnings():
-                _warnings.simplefilter("ignore")
-                refit = fit_model(DesignProblem(problem.X, y_star,
-                                                list(problem.column_names)), method)
-            if not refit.converged:
-                raise FitFailureError("replicate did not converge")
-            reps.append(refit.coefficients)
-        except Exception:
-            n_failed += 1
-    if n_failed > 0.1 * B:
-        raise FitFailureError(f"{n_failed}/{B} bootstrap refits failed")
+    reps, n_failed = _replicate_estimates(
+        B, seed, lambda rng: fitted + centered[rng.integers(0, n, size=n)],
+        lambda y_star: fit_model(DesignProblem(problem.X, y_star,
+                                               list(problem.column_names)), method))
     return _summarize(problem.column_names, base.coefficients, reps, B,
                       "residual", method, level, seed, n_failed, None,
                       keep_replicates)
@@ -159,39 +163,24 @@ def block_bootstrap_ts(x, order: ModelOrder, method: str = "PMM2", B: int = 500,
     if n / block_length < 5:
         raise ValueError(f"need n / block_length >= 5, got {n / block_length:.2f}")
     blocks = [resid[i:i + block_length] for i in range(0, n_w, block_length)]
-    a = expand_polynomial(base.params.phi, base.params.Phi, order.s)
-    b = ma_expand_polynomial(base.params.theta, base.params.Theta, order.s)
-    num = np.concatenate([[1.0], b])
-    den = np.concatenate([[1.0], -a])
+    a, b = _lag_polynomials(base.params, order)
     head = x[:order.d + order.D * order.s]
-    children = np.random.SeedSequence(seed).spawn(B)
-    reps, n_failed = [], 0
     n_blocks = len(blocks)
-    for i in range(B):
-        rng = np.random.default_rng(children[i])
+
+    def draw(rng):
         parts, total = [], 0
         while total < n_w:
             blk = blocks[int(rng.integers(0, n_blocks))]
             parts.append(blk)
             total += blk.size
-        eps_star = np.concatenate(parts)[:n_w]
-        w_star = lfilter(num, den, eps_star) + base.params.mean
+        w_star = _arma_filter(a, b, np.concatenate(parts)[:n_w]) + base.params.mean
         if order.d + order.D > 0:
-            x_star = np.concatenate([head, integrate_forecast(
+            return np.concatenate([head, integrate_forecast(
                 head, w_star, order.d, order.D, order.s)])
-        else:
-            x_star = w_star
-        try:
-            with _warnings.catch_warnings():
-                _warnings.simplefilter("ignore")
-                refit = fit_model(x_star, method, order)
-            if not refit.converged:
-                raise FitFailureError("replicate did not converge")
-            reps.append(refit.params.to_vector(order))
-        except Exception:
-            n_failed += 1
-    if n_failed > 0.1 * B:
-        raise FitFailureError(f"{n_failed}/{B} bootstrap refits failed")
+        return w_star
+
+    reps, n_failed = _replicate_estimates(
+        B, seed, draw, lambda x_star: fit_model(x_star, method, order))
     return _summarize(param_names(order), base.params.to_vector(order), reps, B,
                       "block", method, level, seed, n_failed,
                       block_length, keep_replicates)

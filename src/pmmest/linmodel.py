@@ -2,8 +2,9 @@
 
 PMM2 solves X'[e + c*(e^2 - m2)] = 0 with the quadratic weight c refreshed
 from the current residuals at every step; PMM3 solves X'[b1*e + b3*e^3] = 0
-with (b1, b3) from the sample moment system.  Both start from OLS and stop on
-an infinity-norm coefficient-change rule.
+with (b1, b3) from the sample moment system.  Both run one iteration over the
+``cumulants._SCORES`` records: start from OLS, stop on an infinity-norm
+coefficient-change rule.
 """
 
 import math
@@ -13,14 +14,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .cumulants import (
-    MomentSet,
-    _clamped_g2,
-    _clamped_g3,
-    central_moments,
-    pmm2_weight,
-    pmm3_weights,
-)
+from .cumulants import _SCORES, MomentSet, central_moments
 from .errors import (
     DegenerateDistributionError,
     DegenerateMomentsError,
@@ -146,6 +140,51 @@ def fit_ols(problem: DesignProblem) -> RegressionFit:
     )
 
 
+def _fit_polynomial(method: str, problem: DesignProblem, tol: float,
+                    max_iter: int) -> RegressionFit:
+    """Steps (X'X)^-1 X' psi(e) / slope from OLS, the ``_SCORES[method]`` weights
+    refreshed from each step's residual moments (the fallback where undefined)."""
+    score = _SCORES[method]
+    if problem.n < problem.k + score.extra_obs:
+        raise InputTooShortError(
+            f"need n >= k + {score.extra_obs}, got n = {problem.n}, k = {problem.k}")
+    solve, _, _ = _qr_solver(problem)
+    beta = solve(problem.y)  # OLS start
+    warns: list[str] = []
+    if score.symmetric:
+        mom0 = _moments_or_none(problem.y - problem.X @ beta)
+        if mom0 is not None and not mom0.degenerate and abs(mom0.gamma3) > 0.5:
+            warns.append(
+                f"OLS residual skewness {mom0.gamma3:.3f} exceeds 0.5; "
+                f"{method} assumes symmetric errors")
+    converged = False
+    iterations = fallback_steps = 0
+    for iterations in range(1, max_iter + 1):
+        eps = problem.y - problem.X @ beta
+        mom = central_moments(eps)
+        try:
+            weights = score.weights(mom)
+        except (DegenerateDistributionError, DegenerateMomentsError):
+            weights = score.fallback
+            fallback_steps += 1
+        delta = solve(score.psi(eps, weights, mom.m2)) / score.slope(weights, mom.m2)
+        beta = beta + delta
+        if np.max(np.abs(delta)) < tol:
+            converged = True
+            break
+    if fallback_steps:
+        warns.append(f"degenerate residual moments: OLS score used in {fallback_steps} "
+                     f"of {iterations} steps")
+    if not converged:
+        warns.append(f"no convergence after {max_iter} iterations")
+        _warnings.warn(f"fit_{method.lower()} did not converge", RuntimeWarning,
+                       stacklevel=3)
+    residuals = problem.y - problem.X @ beta
+    mom = _moments_or_none(residuals)
+    g = score.clamp(mom, warns)
+    return RegressionFit(method, beta, residuals, mom, g, iterations, converged, warns)
+
+
 def fit_pmm2(problem: DesignProblem, tol: float = 1e-6, max_iter: int = 200) -> RegressionFit:
     """PMM2 regression by fixed-point iteration from the OLS solution.
 
@@ -153,40 +192,7 @@ def fit_pmm2(problem: DesignProblem, tol: float = 1e-6, max_iter: int = 200) -> 
     current residual moments; inadmissible moment configurations fall back to
     c = 0 for that step.
     """
-    if problem.n < problem.k + 4:
-        raise InputTooShortError(
-            f"need n >= k + 4, got n = {problem.n}, k = {problem.k}")
-    solve, _, _ = _qr_solver(problem)
-    beta = solve(problem.y)  # OLS start
-    warns: list[str] = []
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        eps = problem.y - problem.X @ beta
-        mom = central_moments(eps)
-        if mom.degenerate:
-            c, m2 = 0.0, 0.0
-            if not warns:
-                warns.append("degenerate residuals; using c = 0")
-        else:
-            m2 = mom.m2
-            try:
-                c = pmm2_weight(mom.m2, mom.m3, mom.m4)
-            except DegenerateDistributionError:
-                c = 0.0
-                warns.append(f"iteration {iterations}: degenerate moments, c = 0 for this step")
-        delta = solve(eps + c * (eps * eps - m2))
-        beta = beta + delta
-        if np.max(np.abs(delta)) < tol:
-            converged = True
-            break
-    if not converged:
-        warns.append(f"no convergence after {max_iter} iterations")
-        _warnings.warn("fit_pmm2 did not converge", RuntimeWarning, stacklevel=2)
-    residuals = problem.y - problem.X @ beta
-    mom = _moments_or_none(residuals)
-    g2 = _clamped_g2(mom, warns)
-    return RegressionFit("PMM2", beta, residuals, mom, g2, iterations, converged, warns)
+    return _fit_polynomial("PMM2", problem, tol, max_iter)
 
 
 def fit_pmm3(problem: DesignProblem, tol: float = 1e-6, max_iter: int = 200) -> RegressionFit:
@@ -197,45 +203,7 @@ def fit_pmm3(problem: DesignProblem, tol: float = 1e-6, max_iter: int = 200) -> 
     symmetric errors; asymmetric data only triggers a warning because method
     applicability is the dispatcher's call, not the fitter's.
     """
-    if problem.n < problem.k + 6:
-        raise InputTooShortError(
-            f"need n >= k + 6, got n = {problem.n}, k = {problem.k}")
-    solve, _, _ = _qr_solver(problem)
-    beta = solve(problem.y)
-    warns: list[str] = []
-    mom0 = _moments_or_none(problem.y - problem.X @ beta)
-    if mom0 is not None and not mom0.degenerate and abs(mom0.gamma3) > 0.5:
-        warns.append(
-            f"OLS residual skewness {mom0.gamma3:.3f} exceeds 0.5; "
-            "PMM3 assumes symmetric errors")
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        eps = problem.y - problem.X @ beta
-        mom = central_moments(eps)
-        if mom.degenerate:
-            b1, b3, m2 = 1.0, 0.0, 0.0
-        else:
-            m2 = mom.m2
-            try:
-                b1, b3 = pmm3_weights(mom.m2, mom.m4, mom.m6)
-            except DegenerateMomentsError:
-                b1, b3 = 1.0, 0.0
-                if "indefinite moment matrix; OLS score used" not in warns:
-                    warns.append("indefinite moment matrix; OLS score used")
-        slope = b1 + 3.0 * b3 * m2  # = h' M^-1 h > 0 for definite M
-        delta = solve(b1 * eps + b3 * eps**3) / slope
-        beta = beta + delta
-        if np.max(np.abs(delta)) < tol:
-            converged = True
-            break
-    if not converged:
-        warns.append(f"no convergence after {max_iter} iterations")
-        _warnings.warn("fit_pmm3 did not converge", RuntimeWarning, stacklevel=2)
-    residuals = problem.y - problem.X @ beta
-    mom = _moments_or_none(residuals)
-    g3 = _clamped_g3(mom, warns)
-    return RegressionFit("PMM3", beta, residuals, mom, g3, iterations, converged, warns)
+    return _fit_polynomial("PMM3", problem, tol, max_iter)
 
 
 def asymptotic_covariance(fit: RegressionFit, problem: DesignProblem) -> np.ndarray:

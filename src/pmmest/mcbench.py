@@ -24,7 +24,7 @@ import numpy as np
 
 from .cumulants import CumulantProfile, g2_coefficient, g3_coefficient
 from .dispatch import fit_model
-from .errors import FitFailureError
+from .errors import _REPLICATE_FAILURES, FitFailureError
 from .linmodel import asymptotic_covariance, build_design
 from .tscore import (
     ModelOrder,
@@ -293,7 +293,8 @@ def _fit_method(spec: McSpec, method: str, data, z: float):
 
 
 def _run_replicate(spec: McSpec, methods, level: float, seed_seq):
-    """One replicate: simulate once, fit all methods.  None signals failure."""
+    """One replicate: simulate once, fit all methods.  None signals a fit
+    failure; any other exception propagates."""
     rng = np.random.default_rng(seed_seq)
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
     try:
@@ -304,7 +305,7 @@ def _run_replicate(spec: McSpec, methods, level: float, seed_seq):
             for method in methods:
                 out[method] = _fit_method(spec, method, data, z)
         return out
-    except Exception:
+    except _REPLICATE_FAILURES:
         return None
 
 

@@ -243,6 +243,18 @@ def ma_expand_polynomial(theta, Theta=(), s: int = 0) -> np.ndarray:
                               -np.atleast_1d(np.asarray(Theta, dtype=float)), s)
 
 
+def _lag_polynomials(params: TsParams, order: ModelOrder) -> tuple[np.ndarray, np.ndarray]:
+    """AR and MA lag coefficients (a, b) of the expanded seasonal products."""
+    return (expand_polynomial(params.phi, params.Phi, order.s),
+            ma_expand_polynomial(params.theta, params.Theta, order.s))
+
+
+def _arma_filter(a, b, eps) -> np.ndarray:
+    """Drive z_t = sum_j a_j z_{t-j} + e_t + sum_k b_k e_{t-k} by ``eps``,
+    with presample z and e terms treated as zero."""
+    return lfilter(np.concatenate([[1.0], b]), np.concatenate([[1.0], -a]), eps)
+
+
 def css_residuals(w, params: TsParams, order: ModelOrder) -> np.ndarray:
     """Conditional-sum-of-squares residual recursion on the differenced series.
 
@@ -253,8 +265,7 @@ def css_residuals(w, params: TsParams, order: ModelOrder) -> np.ndarray:
     params.check_order(order)
     w = np.asarray(w, dtype=float)
     z = w - params.mean
-    a = expand_polynomial(params.phi, params.Phi, order.s)
-    b = ma_expand_polynomial(params.theta, params.Theta, order.s)
+    a, b = _lag_polynomials(params, order)
     num = np.concatenate([[1.0], -a])
     den = np.concatenate([[1.0], b])
     return lfilter(num, den, z)
@@ -278,16 +289,19 @@ def ar_design_matrix(x, p: int, include_mean: bool = True) -> DesignProblem:
 # Quasi-Newton minimization
 # ---------------------------------------------------------------------------
 
-def _central_gradient(f, x, base_step: float = 1e-6) -> np.ndarray:
-    g = np.empty(x.size)
+def _central_difference(f, x, base_step: float = 1e-6) -> np.ndarray:
+    """Central differences of ``f`` along each coordinate of ``x`` with step
+    base_step * max(1, |x_i|), one column per coordinate in a C-ordered array:
+    the gradient of a scalar ``f``, the Jacobian of a vector one."""
+    cols = []
     for i in range(x.size):
         h = base_step * max(1.0, abs(x[i]))
         xp = x.copy()
         xm = x.copy()
         xp[i] += h
         xm[i] -= h
-        g[i] = (f(xp) - f(xm)) / (2.0 * h)
-    return g
+        cols.append((f(xp) - f(xm)) / (2.0 * h))
+    return np.ascontiguousarray(np.array(cols).T)
 
 
 def minimize_qn(f, x0, gtol: float = 1e-8, ftol: float = 1e-12,
@@ -307,7 +321,7 @@ def minimize_qn(f, x0, gtol: float = 1e-8, ftol: float = 1e-12,
     if x.size == 0:
         return x, fx, True
     n = x.size
-    g = _central_gradient(f, x)
+    g = _central_difference(f, x)
     H = np.eye(n)
     converged = False
     for _ in range(max_iter):
@@ -335,7 +349,7 @@ def minimize_qn(f, x0, gtol: float = 1e-8, ftol: float = 1e-12,
             # no Armijo progress: finite-difference noise floor reached
             converged = gnorm <= 1e-5 * max(1.0, abs(fx))
             break
-        gn = _central_gradient(f, xn)
+        gn = _central_difference(f, xn)
         s = xn - x
         yv = gn - g
         sy = float(s @ yv)
@@ -363,18 +377,13 @@ def _min_series_length(order: ModelOrder) -> int:
 
 
 def _unit_region_warnings(params: TsParams, order: ModelOrder, warns: list[str]):
-    a = expand_polynomial(params.phi, params.Phi, order.s)
-    if a.size:
-        roots = np.roots(np.concatenate([-a[::-1], [1.0]]))
-        if roots.size and np.min(np.abs(roots)) <= 1.0 + 1e-8:
-            warns.append("AR polynomial has a root on or inside the unit circle "
-                         "(non-stationary region)")
-    b = ma_expand_polynomial(params.theta, params.Theta, order.s)
-    if b.size:
-        roots = np.roots(np.concatenate([b[::-1], [1.0]]))
-        if roots.size and np.min(np.abs(roots)) <= 1.0 + 1e-8:
-            warns.append("MA polynomial has a root on or inside the unit circle "
-                         "(non-invertible region)")
+    a, b = _lag_polynomials(params, order)
+    for name, coefs, region in (("AR", -a, "non-stationary"), ("MA", b, "non-invertible")):
+        if coefs.size:
+            roots = np.roots(np.concatenate([coefs[::-1], [1.0]]))
+            if roots.size and np.min(np.abs(roots)) <= 1.0 + 1e-8:
+                warns.append(f"{name} polynomial has a root on or inside the unit "
+                             f"circle ({region} region)")
 
 
 def _is_pure_ar(order: ModelOrder) -> bool:
@@ -467,11 +476,7 @@ def simulate_arima(order: ModelOrder, params: TsParams, innovations,
     eps = np.asarray(innovations, dtype=float)
     if burnin < 0 or burnin >= eps.size:
         raise ValueError(f"burnin={burnin} must be in [0, len(innovations))")
-    a = expand_polynomial(params.phi, params.Phi, order.s)
-    b = ma_expand_polynomial(params.theta, params.Theta, order.s)
-    num = np.concatenate([[1.0], b])
-    den = np.concatenate([[1.0], -a])
-    z = lfilter(num, den, eps)[burnin:]
+    z = _arma_filter(*_lag_polynomials(params, order), eps)[burnin:]
     if order.include_mean:
         z = z + params.mean
     for _ in range(order.d):
@@ -492,15 +497,7 @@ def ts_asymptotic_covariance(fit: TsFit) -> np.ndarray:
     if vec.size == 0:
         return np.zeros((0, 0))
     w = difference(fit.original_series, order.d, order.D, order.s)
-    J = np.empty((w.size, vec.size))
-    for i in range(vec.size):
-        h = 1e-6 * max(1.0, abs(vec[i]))
-        vp = vec.copy()
-        vm = vec.copy()
-        vp[i] += h
-        vm[i] -= h
-        rp = css_residuals(w, TsParams.from_vector(vp, order), order)
-        rm = css_residuals(w, TsParams.from_vector(vm, order), order)
-        J[:, i] = (rp - rm) / (2.0 * h)
+    J = _central_difference(
+        lambda v: css_residuals(w, TsParams.from_vector(v, order), order), vec)
     jtj = J.T @ J
     return fit.g_coefficient * fit.moments.m2 * np.linalg.inv(jtj)

@@ -2,16 +2,17 @@
 
 Two-stage scheme for models with MA or seasonal structure: a CSS fit supplies
 starting values and the residual moments, which stay frozen while the
-polynomial objective is minimized by quasi-Newton.  Pure (nonseasonal) AR
-models reduce to the lag-design regression and reuse the linear-model
-fitters directly (for PMM2 only when undifferenced).
+polynomial objective is minimized by quasi-Newton.  Both methods run the one
+driver ``_two_stage`` over the ``cumulants._SCORES`` records.  Pure
+(nonseasonal) AR models reduce to the lag-design regression and reuse the
+linear-model fitters directly (for PMM2 only when undifferenced).
 """
 
 import math
 
 import numpy as np
 
-from .cumulants import _clamped_g2, _clamped_g3, pmm2_weight, pmm3_weights
+from .cumulants import _SCORES
 from .errors import (
     DegenerateDistributionError,
     DegenerateMomentsError,
@@ -25,13 +26,12 @@ from .tscore import (
     TsParams,
     _is_pure_ar,
     _lag_design_fit,
+    _lag_polynomials,
     _unit_region_warnings,
     css_residuals,
     difference,
-    expand_polynomial,
     fit_css,
     integrate_forecast,
-    ma_expand_polynomial,
     minimize_qn,
 )
 
@@ -45,6 +45,18 @@ __all__ = [
 ]
 
 
+def _capped_objective(score, weights, m2: float, w, params: TsParams, order: ModelOrder,
+                      explosion_cap: float | None) -> float:
+    """``score.objective`` of the CSS residuals of ``params``; +inf where the
+    residual recursion is non-finite or some e^2 exceeds ``explosion_cap``."""
+    eps = css_residuals(w, params, order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(eps).all() or \
+                (explosion_cap is not None and float(np.max(eps * eps)) > explosion_cap):
+            return math.inf
+        return score.objective(eps, weights, m2)
+
+
 def pmm2_objective(w, params: TsParams, order: ModelOrder, c: float, m2: float,
                    explosion_cap: float | None = None) -> float:
     """Q(theta) = sum e^2/2 + c*(e^3/3 - m2*e) with frozen weight c and variance m2.
@@ -54,12 +66,7 @@ def pmm2_objective(w, params: TsParams, order: ModelOrder, c: float, m2: float,
     the residual recursion explodes; ``explosion_cap`` (a bound on e^2, used
     by the optimizer) turns that region into +inf.
     """
-    eps = css_residuals(w, params, order)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(eps).all() or \
-                (explosion_cap is not None and float(np.max(eps * eps)) > explosion_cap):
-            return math.inf
-        return float(np.sum(0.5 * eps * eps + c * (eps**3 / 3.0 - m2 * eps)))
+    return _capped_objective(_SCORES["PMM2"], (c,), m2, w, params, order, explosion_cap)
 
 
 def pmm3_objective(w, params: TsParams, order: ModelOrder, b1: float, b3: float,
@@ -69,12 +76,49 @@ def pmm3_objective(w, params: TsParams, order: ModelOrder, b1: float, b3: float,
     Unbounded below when b1 < 0 or b3 < 0 and the recursion explodes; see
     pmm2_objective for the role of explosion_cap.
     """
-    eps = css_residuals(w, params, order)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(eps).all() or \
-                (explosion_cap is not None and float(np.max(eps * eps)) > explosion_cap):
-            return math.inf
-        return float(np.sum(0.5 * b1 * eps * eps + 0.25 * b3 * eps**4))
+    return _capped_objective(_SCORES["PMM3"], (b1, b3), 0.0, w, params, order,
+                             explosion_cap)
+
+
+def _two_stage(method: str, x: np.ndarray, order: ModelOrder) -> TsFit:
+    """CSS fit, then the ``_SCORES[method]`` objective minimized from it with the
+    CSS residual moments frozen; unusable moments return the CSS fit."""
+    score = _SCORES[method]
+    base = fit_css(x, order)
+    if not base.converged:
+        raise FitFailureError(f"CSS stage did not converge; {method} stage aborted")
+    warns = list(base.warnings)
+    mom = base.moments
+    if mom is None or mom.degenerate:
+        base.warnings.append("degenerate CSS residual moments; returning CSS fit")
+        return base
+    if score.symmetric and abs(mom.gamma3) > 0.5:
+        warns.append(f"CSS residual skewness {mom.gamma3:.3f} exceeds 0.5; "
+                     f"{method} assumes symmetric errors")
+    try:
+        weights = score.weights(mom)
+    except (DegenerateDistributionError, DegenerateMomentsError):
+        base.warnings.append(
+            f"CSS residual moments leave the {method} weights undefined; returning CSS fit")
+        return base
+    if score.symmetric and weights[0] < 0.0:
+        warns.append(f"b1 < 0 (platykurtic residuals): {method} objective may be nonconvex")
+    w = difference(x, order.d, order.D, order.s)
+    vec0 = base.params.to_vector(order)
+    cap = 1e6 * mom.m2  # residuals past 1000 sd flag an exploding recursion
+
+    def objective(vec):
+        return _capped_objective(score, weights, mom.m2, w,
+                                 TsParams.from_vector(vec, order), order, cap)
+
+    vec, fun, converged = minimize_qn(objective, vec0)
+    if not converged:
+        warns.append(f"{method} optimizer did not converge")
+    params = TsParams.from_vector(vec, order)
+    residuals = css_residuals(w, params, order)
+    g = score.clamp(mom, warns)
+    _unit_region_warnings(params, order, warns)
+    return TsFit(method, order, params, residuals, x, mom, g, fun, converged, warns)
 
 
 def fit_ar_pmm2(x, p: int, include_mean: bool = True) -> TsFit:
@@ -102,37 +146,8 @@ def fit_ts_pmm2(x, order: ModelOrder) -> TsFit:
         if x.size <= order.p + 5:
             raise InputTooShortError(
                 f"series length {x.size} too short for AR({order.p}) PMM2")
-        return _lag_design_fit("PMM2", fit_pmm2, x, x, order, _clamped_g2)
-    base = fit_css(x, order)
-    if not base.converged:
-        raise FitFailureError("CSS stage did not converge; PMM2 stage aborted")
-    warns = list(base.warnings)
-    mom = base.moments
-    if mom is None or mom.degenerate:
-        base.warnings.append("degenerate CSS residual moments; returning CSS fit")
-        return base
-    try:
-        c = pmm2_weight(mom.m2, mom.m3, mom.m4)
-    except DegenerateDistributionError:
-        base.warnings.append("inadmissible CSS residual cumulants; returning CSS fit")
-        return base
-    w = difference(x, order.d, order.D, order.s)
-    vec0 = base.params.to_vector(order)
-    cap = 1e6 * mom.m2  # residuals past 1000 sd flag an exploding recursion
-
-    def objective(vec):
-        return pmm2_objective(w, TsParams.from_vector(vec, order), order, c,
-                              mom.m2, explosion_cap=cap)
-
-    vec, fun, converged = minimize_qn(objective, vec0)
-    if not converged:
-        warns.append("PMM2 optimizer did not converge")
-    params = TsParams.from_vector(vec, order)
-    residuals = css_residuals(w, params, order)
-    g2 = _clamped_g2(mom, warns)
-    _unit_region_warnings(params, order, warns)
-    return TsFit("PMM2", order, params, residuals, np.asarray(x, dtype=float),
-                 mom, g2, fun, converged, warns)
+        return _lag_design_fit("PMM2", fit_pmm2, x, x, order, _SCORES["PMM2"].clamp)
+    return _two_stage("PMM2", x, order)
 
 
 def fit_ts_pmm3(x, order: ModelOrder) -> TsFit:
@@ -149,42 +164,8 @@ def fit_ts_pmm3(x, order: ModelOrder) -> TsFit:
         w = difference(x, order.d, order.D, order.s)
         if w.size <= order.p + 6:
             raise InputTooShortError("differenced series too short for AR PMM3")
-        return _lag_design_fit("PMM3", fit_pmm3, x, w, order, _clamped_g3)
-    base = fit_css(x, order)
-    if not base.converged:
-        raise FitFailureError("CSS stage did not converge; PMM3 stage aborted")
-    warns = list(base.warnings)
-    mom = base.moments
-    if mom is None or mom.degenerate:
-        base.warnings.append("degenerate CSS residual moments; returning CSS fit")
-        return base
-    if abs(mom.gamma3) > 0.5:
-        warns.append(f"CSS residual skewness {mom.gamma3:.3f} exceeds 0.5; "
-                     "PMM3 assumes symmetric errors")
-    try:
-        b1, b3 = pmm3_weights(mom.m2, mom.m4, mom.m6)
-    except DegenerateMomentsError:
-        base.warnings.append("indefinite CSS residual moment matrix; returning CSS fit")
-        return base
-    if b1 < 0.0:
-        warns.append("b1 < 0 (platykurtic residuals): PMM3 objective may be nonconvex")
-    w = difference(x, order.d, order.D, order.s)
-    vec0 = base.params.to_vector(order)
-    cap = 1e6 * mom.m2
-
-    def objective(vec):
-        return pmm3_objective(w, TsParams.from_vector(vec, order), order, b1, b3,
-                              explosion_cap=cap)
-
-    vec, fun, converged = minimize_qn(objective, vec0)
-    if not converged:
-        warns.append("PMM3 optimizer did not converge")
-    params = TsParams.from_vector(vec, order)
-    residuals = css_residuals(w, params, order)
-    g3 = _clamped_g3(mom, warns)
-    _unit_region_warnings(params, order, warns)
-    return TsFit("PMM3", order, params, residuals, np.asarray(x, dtype=float),
-                 mom, g3, fun, converged, warns)
+        return _lag_design_fit("PMM3", fit_pmm3, x, w, order, _SCORES["PMM3"].clamp)
+    return _two_stage("PMM3", x, order)
 
 
 def forecast(fit: TsFit, horizon: int) -> np.ndarray:
@@ -199,8 +180,7 @@ def forecast(fit: TsFit, horizon: int) -> np.ndarray:
         raise FitFailureError("forecast requires a converged fit")
     order = fit.order
     w = difference(fit.original_series, order.d, order.D, order.s)
-    a = expand_polynomial(fit.params.phi, fit.params.Phi, order.s)
-    b = ma_expand_polynomial(fit.params.theta, fit.params.Theta, order.s)
+    a, b = _lag_polynomials(fit.params, order)
     z = list(w - fit.params.mean)
     eps = list(np.asarray(fit.residuals, dtype=float))
     wf = np.empty(horizon)

@@ -259,9 +259,10 @@ class TestExitCodes:
                      "--method", "ols", "--design", "x"])
         assert code == 3
 
-    def test_non_numeric_cell_reports_coordinates(self, tmp_path, capsys):
+    @pytest.mark.parametrize("cell", ["oops", "nan", "inf", "-inf"])
+    def test_non_numeric_cell_reports_coordinates(self, tmp_path, capsys, cell):
         path = tmp_path / "bad.csv"
-        write_csv(path, ["y"], [(1.0,), ("oops",), (3.0,)])
+        write_csv(path, ["y"], [(1.0,), (cell,), (3.0,)])
         code = main(["fit", "--input", str(path), "--column", "y", "--method", "css"])
         assert code == 3
         err = capsys.readouterr().err

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pmmest import inference
 from pmmest.inference import block_bootstrap_ts, default_block_length, residual_bootstrap
 from pmmest.linmodel import build_design
 from pmmest.mcbench import InnovationSpec, sample_innovations
@@ -19,6 +20,30 @@ def gamma_ar1(n=300, phi=0.7, seed=42):
     eps = sample_innovations(InnovationSpec("gamma"), n + 150, rng)
     order = ModelOrder(p=1, include_mean=False)
     return simulate_arima(order, TsParams([phi], [], [], [], 0.0), eps, 150)
+
+
+def raise_after_base_fit(monkeypatch, module):
+    """Make every fit_model call in ``module`` after the first raise TypeError."""
+    real, calls = module.fit_model, []
+
+    def fit_model(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > 1:
+            raise TypeError("defect in a replicate refit")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "fit_model", fit_model)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: residual_bootstrap(gamma_problem(), "PMM2", B=60, seed=0),
+    lambda: block_bootstrap_ts(gamma_ar1(n=200), ModelOrder(p=1), "CSS", B=60, seed=0),
+], ids=["residual", "block"])
+def test_refit_defect_propagates(monkeypatch, run):
+    # only fit failures count as failed replicates; a TypeError is a defect
+    raise_after_base_fit(monkeypatch, inference)
+    with pytest.raises(TypeError, match="defect in a replicate refit"):
+        run()
 
 
 class TestResidualBootstrap:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from pmmest import mcbench
 from pmmest.mcbench import (
     InnovationSpec,
     McSpec,
@@ -197,6 +198,15 @@ class TestRunMonteCarlo:
         _, summary = run_monte_carlo([tiny_regression_spec(n=200)], ("ols",), 200, seed=4)
         row = summary.get("reg", "ols", "x1")
         assert 0.85 <= row.coverage <= 0.99
+
+    def test_fit_defect_propagates(self, monkeypatch):
+        # only fit failures count as failed replicates; a TypeError is a defect
+        def fit_model(*args, **kwargs):
+            raise TypeError("defect in a replicate fit")
+
+        monkeypatch.setattr(mcbench, "fit_model", fit_model)
+        with pytest.raises(TypeError, match="defect in a replicate fit"):
+            run_monte_carlo([tiny_regression_spec()], ("ols",), 50, seed=0)
 
     def test_n_sim_minimum(self):
         with pytest.raises(ValueError):
