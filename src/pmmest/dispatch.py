@@ -22,7 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cumulants import _clamped_g2, central_moments, g3_coefficient
-from .errors import DegenerateInputError, InadmissibleCumulantsError, InputTooShortError
+from .errors import (
+    DegenerateInputError,
+    InadmissibleCumulantsError,
+    InputTooShortError,
+    _require_finite,
+)
 from .linmodel import DesignProblem, fit_ols, fit_pmm2, fit_pmm3, information_criteria
 from .tscore import ModelOrder, fit_css
 from .tspmm import fit_ts_pmm2, fit_ts_pmm3
@@ -95,6 +100,7 @@ def select_method(residuals, config: DispatchConfig | None = None) -> DispatchDe
     """Apply the dispatch rule to a residual vector."""
     config = config or DispatchConfig()
     residuals = np.asarray(residuals, dtype=float)
+    _require_finite("residuals", residuals)
     if residuals.size < 8:
         raise InputTooShortError(f"need at least 8 residuals, got {residuals.size}")
     mom = central_moments(residuals)

@@ -36,7 +36,13 @@ class FitFailureError(PmmError):
 
 
 class DataError(PmmError):
-    """Malformed input data (CSV parsing, missing values, wrong shapes)."""
+    """Malformed input data (CSV parsing, missing or non-finite values, wrong shapes)."""
+
+
+def _require_finite(what: str, values) -> None:
+    """Raise DataError when ``values`` holds a NaN or an infinity."""
+    if not np.isfinite(values).all():
+        raise DataError(f"{what} contains NaN or infinite values")
 
 
 # What a bootstrap or Monte Carlo refit may raise on unlucky data; anything

@@ -21,6 +21,7 @@ from .errors import (
     FitFailureError,
     InputTooShortError,
     SingularDesignError,
+    _require_finite,
 )
 
 __all__ = [
@@ -59,6 +60,8 @@ class DesignProblem:
             raise SingularDesignError(f"need n > k, got n = {n}, k = {k}")
         if not self.column_names:
             self.column_names = [f"x{j + 1}" for j in range(k)]
+        _require_finite("design matrix X", self.X)
+        _require_finite("response y", self.y)
         sv = np.linalg.svd(self.X, compute_uv=False)
         if sv[-1] <= RANK_RTOL * sv[0]:
             raise SingularDesignError(

@@ -16,7 +16,6 @@ import csv
 import math
 import warnings as _warnings
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from statistics import NormalDist
 
@@ -341,6 +340,7 @@ def run_monte_carlo(specs, methods, n_sim: int, seed: int = 0,
         rep_seeds = spec_streams[si].spawn(n_sim)
         indexed = list(enumerate(rep_seeds))
         if n_jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
             chunk_size = max(1, math.ceil(n_sim / (n_jobs * 4)))
             chunks = [(spec, spec_methods, level, indexed[i:i + chunk_size])
                       for i in range(0, n_sim, chunk_size)]

@@ -9,6 +9,10 @@ Conventions (documented because sign conventions vary between packages):
 * Seasonal polynomials multiply the nonseasonal ones (multiplicative model).
 * CSS residuals use the strict conditional convention: presample values of
   both the differenced series and the residuals are zero.
+
+``scipy.signal`` is imported only by ``_lfilter``, for the IIR recursions of
+models with MA or seasonal-MA terms, simulation and block bootstraps; pure-AR
+residuals are a finite convolution and need numpy alone.
 """
 
 import math
@@ -16,10 +20,9 @@ import warnings as _warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .cumulants import MomentSet, central_moments
-from .errors import InputTooShortError
+from .errors import InputTooShortError, _require_finite
 from .linmodel import DesignProblem, build_design, fit_ols
 
 __all__ = [
@@ -249,10 +252,16 @@ def _lag_polynomials(params: TsParams, order: ModelOrder) -> tuple[np.ndarray, n
             ma_expand_polynomial(params.theta, params.Theta, order.s))
 
 
+def _lfilter(num, den, x) -> np.ndarray:
+    """``scipy.signal.lfilter(num, den, x)``, with scipy imported on first use."""
+    from scipy.signal import lfilter
+    return lfilter(num, den, x)
+
+
 def _arma_filter(a, b, eps) -> np.ndarray:
     """Drive z_t = sum_j a_j z_{t-j} + e_t + sum_k b_k e_{t-k} by ``eps``,
     with presample z and e terms treated as zero."""
-    return lfilter(np.concatenate([[1.0], b]), np.concatenate([[1.0], -a]), eps)
+    return _lfilter(np.concatenate([[1.0], b]), np.concatenate([[1.0], -a]), eps)
 
 
 def css_residuals(w, params: TsParams, order: ModelOrder) -> np.ndarray:
@@ -261,14 +270,18 @@ def css_residuals(w, params: TsParams, order: ModelOrder) -> np.ndarray:
     With a = expand_polynomial(phi, Phi, s) and b = ma_expand_polynomial(theta,
     Theta, s), computes e_t = (w_t - mean) - sum_j a_j (w_{t-j} - mean)
     - sum_k b_k e_{t-k}, with presample w and e terms treated as zero.
+
+    Without MA terms the recursion is a finite convolution, computed exactly
+    as ``lfilter`` computes a length-1 denominator, so it is bit-identical.
     """
     params.check_order(order)
     w = np.asarray(w, dtype=float)
     z = w - params.mean
     a, b = _lag_polynomials(params, order)
     num = np.concatenate([[1.0], -a])
-    den = np.concatenate([[1.0], b])
-    return lfilter(num, den, z)
+    if b.size == 0:
+        return np.convolve(num, z)[:z.size]
+    return _lfilter(num, np.concatenate([[1.0], b]), z)
 
 
 def ar_design_matrix(x, p: int, include_mean: bool = True) -> DesignProblem:
@@ -433,6 +446,7 @@ def fit_css(x, order: ModelOrder) -> TsFit:
     zero start (sample mean for the mean term).
     """
     x = np.asarray(x, dtype=float)
+    _require_finite("series", x)
     if x.size <= _min_series_length(order):
         raise InputTooShortError(
             f"series length {x.size} too short for order requiring "

@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from pmmest.dispatch import (
     render_decision,
     select_method,
 )
-from pmmest.errors import DegenerateInputError, InputTooShortError
+from pmmest.errors import DataError, DegenerateInputError, InputTooShortError
 from pmmest.inference import block_bootstrap_ts
 from pmmest.linmodel import RegressionFit, build_design, fit_ols, fit_pmm2
 from pmmest.mcbench import InnovationSpec, McSpec, sample_innovations
@@ -213,3 +214,37 @@ def test_entry_points_agree_bit_for_bit(triple, method, fitter, tmp_path):
     report = json.loads(out.read_text())
     assert [report["coefficients"][name] for name in fit_model(x, method, order).param_names] \
         == list(expected)
+
+
+def _bundled_with(index, value):
+    x = np.loadtxt(Path(__file__).parent.parent / "data" / "ar1_gamma_sample.csv",
+                   skiprows=1)
+    x[index] = value
+    return x
+
+
+def _regression_with_nan_response():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(50)
+    y = 1.0 + 2.0 * x + rng.gamma(2.0, 1.0, 50)
+    y[7] = np.nan
+    return fit_pmm2(build_design(y, [x]))
+
+
+NON_FINITE_CASES = {
+    # each call returned numbers or failed with an unrelated error before the check
+    "fit_css-ar1-nan": lambda: fit_css(_bundled_with(150, np.nan), ModelOrder(p=1)),
+    "fit_css-arma11-nan": lambda: fit_css(_bundled_with(150, np.nan), ModelOrder(p=1, q=1)),
+    "select_method-nan": lambda: select_method(_bundled_with(150, np.nan)),
+    "fit_ts_pmm2-trailing-inf": lambda: fit_ts_pmm2(_bundled_with(-1, np.inf),
+                                                    ModelOrder(p=1, q=1)),
+    "fit_ts_pmm3-trailing-inf": lambda: fit_ts_pmm3(_bundled_with(-1, -np.inf),
+                                                    ModelOrder(p=1, q=1)),
+    "fit_pmm2-nan-response": _regression_with_nan_response,
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE_CASES.values(), ids=NON_FINITE_CASES.keys())
+def test_non_finite_input_raises_data_error(call):
+    with pytest.raises(DataError, match="NaN or infinite"):
+        call()

@@ -187,6 +187,15 @@ class TestRunMonteCarlo:
         assert s1.rows == s2.rows
         assert s1.rows == s4.rows
 
+    def test_ma_parallel_equivalence(self):
+        # pool workers filter MA series through the lazily imported lfilter
+        spec = McSpec(model="ma", theta=(0.4, 0.0), innovations=InnovationSpec("gamma"),
+                      n=80, label="ma1", order=ModelOrder(q=1))
+        _, s1 = run_monte_carlo([spec], ("css", "pmm2"), 50, seed=8, n_jobs=1)
+        _, s2 = run_monte_carlo([spec], ("css", "pmm2"), 50, seed=8, n_jobs=2)
+        assert s1.n_failed == s2.n_failed
+        assert s1.rows == s2.rows
+
     def test_ml_alias_maps_to_css(self):
         spec = McSpec(model="ar", theta=(0.5, 0.0), innovations=InnovationSpec("gaussian"),
                       n=80, label="a", order=ModelOrder(p=1))
