@@ -97,15 +97,22 @@ def central_moments(x, m2_ddof: int = 1) -> MomentSet:
     n = x.size
     if n < 4:
         raise InputTooShortError(f"need at least 4 observations, got {n}")
-    mean = float(x.mean())
+    mean = float(x.sum()) / n  # the bits of x.mean(), without its Python wrapper
     d = x - mean
-    m2 = float(np.sum(d * d) / (n - m2_ddof))
-    m3 = float(np.mean(d**3))
-    m4 = float(np.mean(d**4))
-    m6 = float(np.mean(d**6))
-    if m2 == 0.0:
+    # Products and BLAS dots, not d**k: numpy sends integer powers above 2
+    # through libm pow, about ten times the cost of a multiplication.
+    d2 = d * d
+    m2 = float(d2.sum() / (n - m2_ddof))
+    # The mean of a constant vector can round away from its value, which leaves
+    # m2 at rounding level (m2 / mean^2 near 1e-30) instead of 0; constancy is
+    # checked exactly below 1e-20.
+    if m2 == 0.0 or (m2 < 1e-20 * mean * mean and (x == x[0]).all()):
         return MomentSet(n, mean, 0.0, 0.0, 0.0, 0.0,
                          math.nan, math.nan, math.nan, degenerate=True)
+    d4 = d2 * d2
+    m3 = float(d2 @ d) / n
+    m4 = float(d4.sum()) / n
+    m6 = float(d4 @ d2) / n
     gamma3 = m3 / m2**1.5
     gamma4 = m4 / m2**2 - 3.0
     gamma6 = m6 / m2**3 - 15.0 * gamma4 - 10.0 * gamma3**2 - 15.0
@@ -240,14 +247,14 @@ _SCORES = {
         lambda mom: (pmm2_weight(mom.m2, mom.m3, mom.m4),), (0.0,),
         lambda e, w, m2: e + w[0] * (e * e - m2),
         lambda w, m2: 1.0,
-        lambda e, w, m2: float(np.sum(0.5 * e * e + w[0] * (e**3 / 3.0 - m2 * e))),
+        lambda e, w, m2: float(np.sum(0.5 * e * e + w[0] * (e * e * e / 3.0 - m2 * e))),
         _clamped_g2, 4, False),
     # psi = b1*e + b3*e^3, w = (b1, b3); E[psi'] = b1 + 3*b3*m2 = h' M^-1 h > 0
     # for a definite moment matrix M
     "PMM3": _Score(
         lambda mom: pmm3_weights(mom.m2, mom.m4, mom.m6), (1.0, 0.0),
-        lambda e, w, m2: w[0] * e + w[1] * e**3,
+        lambda e, w, m2: w[0] * e + w[1] * (e * e * e),
         lambda w, m2: w[0] + 3.0 * w[1] * m2,
-        lambda e, w, m2: float(np.sum(0.5 * w[0] * e * e + 0.25 * w[1] * e**4)),
+        lambda e, w, m2: float(np.sum(0.5 * w[0] * e * e + 0.25 * w[1] * ((e * e) * (e * e)))),
         _clamped_g3, 6, True),
 }

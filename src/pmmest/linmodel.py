@@ -10,6 +10,7 @@ coefficient-change rule.
 import math
 import warnings as _warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -42,7 +43,11 @@ RANK_RTOL = 1e-10
 
 @dataclass
 class DesignProblem:
-    """Fixed design matrix (intercept column included when requested) and response."""
+    """Fixed design matrix (intercept column included when requested) and response.
+
+    ``X`` is read as fixed once constructed: its QR factorization is computed
+    on first use and shared by every fit and covariance of the problem.
+    """
 
     X: np.ndarray
     y: np.ndarray
@@ -74,6 +79,20 @@ class DesignProblem:
     @property
     def k(self) -> int:
         return self.X.shape[1]
+
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(P, R^-1) from the thin QR X = QR, with P = R^-1 Q' (k x n).
+
+        ``P @ v`` is the least-squares solution (X'X)^-1 X' v and
+        ``R^-1 R^-T`` is (X'X)^-1.
+        """
+        q, r = np.linalg.qr(self.X)
+        diag = np.abs(np.diag(r))
+        if diag.min() <= RANK_RTOL * diag.max():
+            raise SingularDesignError("design is rank deficient in QR factorization")
+        rinv = np.linalg.solve(r, np.eye(self.k))
+        return rinv @ q.T, rinv
 
 
 def build_design(y, columns, include_intercept=True, column_names=None) -> DesignProblem:
@@ -108,19 +127,6 @@ class RegressionFit:
         return int(self.coefficients.size)
 
 
-def _qr_solver(problem: DesignProblem):
-    """Return v -> (X'X)^-1 X' v via the thin QR of X."""
-    q, r = np.linalg.qr(problem.X)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= RANK_RTOL * diag.max():
-        raise SingularDesignError("design is rank deficient in QR factorization")
-
-    def solve(v):
-        return np.linalg.solve(r, q.T @ v)
-
-    return solve, q, r
-
-
 def _moments_or_none(residuals) -> MomentSet | None:
     if residuals.size < 4:
         return None
@@ -129,8 +135,8 @@ def _moments_or_none(residuals) -> MomentSet | None:
 
 def fit_ols(problem: DesignProblem) -> RegressionFit:
     """Ordinary least squares via QR; the baseline for every comparison."""
-    solve, _, _ = _qr_solver(problem)
-    beta = solve(problem.y)
+    proj, _ = problem._factors
+    beta = proj @ problem.y
     residuals = problem.y - problem.X @ beta
     return RegressionFit(
         method="OLS",
@@ -145,14 +151,15 @@ def fit_ols(problem: DesignProblem) -> RegressionFit:
 
 def _fit_polynomial(method: str, problem: DesignProblem, tol: float,
                     max_iter: int) -> RegressionFit:
-    """Steps (X'X)^-1 X' psi(e) / slope from OLS, the ``_SCORES[method]`` weights
-    refreshed from each step's residual moments (the fallback where undefined)."""
+    """Steps P psi(e) / slope from OLS, with P = (X'X)^-1 X' the problem's projection
+    and the ``_SCORES[method]`` weights refreshed from each step's residual moments
+    (the fallback where undefined)."""
     score = _SCORES[method]
     if problem.n < problem.k + score.extra_obs:
         raise InputTooShortError(
             f"need n >= k + {score.extra_obs}, got n = {problem.n}, k = {problem.k}")
-    solve, _, _ = _qr_solver(problem)
-    beta = solve(problem.y)  # OLS start
+    proj, _ = problem._factors
+    beta = proj @ problem.y  # OLS start
     warns: list[str] = []
     if score.symmetric:
         mom0 = _moments_or_none(problem.y - problem.X @ beta)
@@ -170,7 +177,7 @@ def _fit_polynomial(method: str, problem: DesignProblem, tol: float,
         except (DegenerateDistributionError, DegenerateMomentsError):
             weights = score.fallback
             fallback_steps += 1
-        delta = solve(score.psi(eps, weights, mom.m2)) / score.slope(weights, mom.m2)
+        delta = (proj @ score.psi(eps, weights, mom.m2)) / score.slope(weights, mom.m2)
         beta = beta + delta
         if np.max(np.abs(delta)) < tol:
             converged = True
@@ -215,8 +222,7 @@ def asymptotic_covariance(fit: RegressionFit, problem: DesignProblem) -> np.ndar
         raise FitFailureError("covariance requires a converged fit")
     if fit.moments is None:
         raise FitFailureError("covariance requires residual moments (n >= 4)")
-    _, _, r = _qr_solver(problem)
-    rinv = np.linalg.solve(r, np.eye(r.shape[0]))
+    _, rinv = problem._factors
     xtx_inv = rinv @ rinv.T
     return fit.g_coefficient * fit.moments.m2 * xtx_inv
 

@@ -81,6 +81,32 @@ class TestCentralMoments:
         assert scaled.gamma4 == pytest.approx(base.gamma4, rel=1e-8, abs=1e-10)
         assert scaled.gamma6 == pytest.approx(base.gamma6, rel=1e-7, abs=1e-8)
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 400),
+           log_scale=st.floats(-8.0, 8.0), shift=st.floats(-1e3, 1e3))
+    def test_textbook_moments_and_affine_equivariance(self, seed, n, log_scale, shift):
+        # The shift is given in units of the scale: a shift far beyond the
+        # spread of s*x erases x in floating point before any moment is taken.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n) + rng.gamma(2.0, 1.0, n)
+        d = x - x.mean()
+        base = central_moments(x)
+        s = 10.0**log_scale
+        moved = central_moments(s * x + s * shift)
+        for k, got, got_moved in ((2, base.m2 * (n - 1) / n, moved.m2 * (n - 1) / n),
+                                  (3, base.m3, moved.m3), (4, base.m4, moved.m4),
+                                  (6, base.m6, moved.m6)):
+            textbook, size = np.mean(d**k), np.mean(np.abs(d) ** k)
+            assert abs(got - textbook) <= 1e-12 * size
+            assert abs(got_moved - s**k * got) <= 1e-9 * s**k * size
+
+    @settings(max_examples=100, deadline=None)
+    @given(value=st.floats(-1e100, 1e100), n=st.integers(4, 500))
+    def test_constant_input_is_degenerate(self, value, n):
+        m = central_moments(np.full(n, value))
+        assert m.degenerate
+        assert m.m2 == m.m3 == m.m4 == m.m6 == 0.0
+
 
 class TestG2:
     @pytest.mark.parametrize("gamma3, gamma4, expected", [

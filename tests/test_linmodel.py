@@ -69,6 +69,30 @@ class TestOls:
             fit_pmm3(prob)
 
 
+class TestFactorization:
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 500), k=st.integers(1, 4))
+    def test_projection_matches_lstsq(self, seed, n, k):
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, k - 1))])
+        y = rng.standard_normal(n) * 10.0 + X @ rng.standard_normal(k)
+        projection = DesignProblem(X, y)._factors[0]
+        expected = np.linalg.lstsq(X, y, rcond=None)[0]
+        assert np.abs(projection @ y - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+
+    def test_design_is_factored_once(self, monkeypatch):
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: calls.append(a) or qr(*a, **kw))
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(100)
+        prob = build_design(1.0 + 2.0 * x + rng.uniform(-1.0, 1.0, 100), [x])
+        for fit in (fit_ols(prob), fit_pmm2(prob), fit_pmm3(prob)):
+            assert fit.converged
+            asymptotic_covariance(fit, prob)
+        assert len(calls) == 1
+
+
 class TestPmm2:
     def test_symmetric_residuals_reduce_to_ols(self):
         x, e = symmetric_orthogonal_errors()
