@@ -247,7 +247,7 @@ _SCORES = {
         lambda mom: (pmm2_weight(mom.m2, mom.m3, mom.m4),), (0.0,),
         lambda e, w, m2: e + w[0] * (e * e - m2),
         lambda w, m2: 1.0,
-        lambda e, w, m2: float(np.sum(0.5 * e * e + w[0] * (e * e * e / 3.0 - m2 * e))),
+        lambda e, w, m2: float((0.5 * e * e + w[0] * (e * e * e / 3.0 - m2 * e)).sum()),
         _clamped_g2, 4, False),
     # psi = b1*e + b3*e^3, w = (b1, b3); E[psi'] = b1 + 3*b3*m2 = h' M^-1 h > 0
     # for a definite moment matrix M
@@ -255,6 +255,6 @@ _SCORES = {
         lambda mom: pmm3_weights(mom.m2, mom.m4, mom.m6), (1.0, 0.0),
         lambda e, w, m2: w[0] * e + w[1] * (e * e * e),
         lambda w, m2: w[0] + 3.0 * w[1] * m2,
-        lambda e, w, m2: float(np.sum(0.5 * w[0] * e * e + 0.25 * w[1] * ((e * e) * (e * e)))),
+        lambda e, w, m2: float((0.5 * w[0] * e * e + 0.25 * w[1] * ((e * e) * (e * e))).sum()),
         _clamped_g3, 6, True),
 }

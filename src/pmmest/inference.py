@@ -17,7 +17,7 @@ import numpy as np
 from .dispatch import _REGRESSION_FITTERS, _method_name, fit_model  # noqa: F401
 from .errors import _REPLICATE_FAILURES, FitFailureError
 from .linmodel import DesignProblem
-from .tscore import ModelOrder, _arma_filter, _lag_polynomials, integrate_forecast, param_names
+from .tscore import ModelOrder, _filter_polynomials, _lfilter, integrate_forecast, param_names
 
 __all__ = [
     "BootstrapResult",
@@ -163,7 +163,7 @@ def block_bootstrap_ts(x, order: ModelOrder, method: str = "PMM2", B: int = 500,
     if n / block_length < 5:
         raise ValueError(f"need n / block_length >= 5, got {n / block_length:.2f}")
     blocks = [resid[i:i + block_length] for i in range(0, n_w, block_length)]
-    a, b = _lag_polynomials(base.params, order)
+    ar, ma = _filter_polynomials(base.params, order)
     head = x[:order.d + order.D * order.s]
     n_blocks = len(blocks)
 
@@ -173,7 +173,7 @@ def block_bootstrap_ts(x, order: ModelOrder, method: str = "PMM2", B: int = 500,
             blk = blocks[int(rng.integers(0, n_blocks))]
             parts.append(blk)
             total += blk.size
-        w_star = _arma_filter(a, b, np.concatenate(parts)[:n_w]) + base.params.mean
+        w_star = _lfilter(ma, ar, np.concatenate(parts)[:n_w]) + base.params.mean
         if order.d + order.D > 0:
             return np.concatenate([head, integrate_forecast(
                 head, w_star, order.d, order.D, order.s)])

@@ -88,10 +88,15 @@ class TsParams:
     mean: float = 0.0
 
     def __post_init__(self):
-        self.phi = np.atleast_1d(np.asarray(self.phi, dtype=float))
-        self.theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
-        self.Phi = np.atleast_1d(np.asarray(self.Phi, dtype=float))
-        self.Theta = np.atleast_1d(np.asarray(self.Theta, dtype=float))
+        for name in ("phi", "theta", "Phi", "Theta"):
+            v = getattr(self, name)
+            # from_vector hands over float slices once per residual evaluation
+            if type(v) is np.ndarray and v.dtype == np.float64 and v.ndim == 1:
+                continue
+            v = np.atleast_1d(np.asarray(v, dtype=float))
+            if v.ndim > 1:
+                raise ValueError(f"{name} must be one-dimensional, got shape {v.shape}")
+            setattr(self, name, v)
         self.mean = float(self.mean)
 
     @classmethod
@@ -110,8 +115,7 @@ class TsParams:
         parts = [self.phi, self.theta, self.Phi, self.Theta]
         if order.include_mean:
             parts.append([self.mean])
-        return np.concatenate([np.asarray(p, dtype=float) for p in parts]) \
-            if order.n_params else np.empty(0)
+        return np.concatenate(parts)
 
     @classmethod
     def from_vector(cls, vec, order: ModelOrder) -> "TsParams":
@@ -221,47 +225,67 @@ def integrate_forecast(history, diffs_forecast, d: int = 0, D: int = 0,
 # Lag polynomial expansion and the CSS recursion
 # ---------------------------------------------------------------------------
 
+def _lag_factor(coefs: np.ndarray, step: int, ma: bool) -> np.ndarray:
+    """1 - sum_k c_k B^{step k}, or 1 + sum_k c_k B^{step k} when ``ma``.
+
+    The lag terms are 0 - c (c + 0 when ``ma``) rather than -c: a convolution
+    with [1.0] returns exactly these bits, signed zeros included, so a product
+    skips that convolution without changing a bit.
+    """
+    factor = np.zeros(1 + step * coefs.size)
+    factor[0] = 1.0
+    if ma:
+        np.add(coefs, 0.0, out=factor[step::step])
+    else:
+        np.subtract(0.0, coefs, out=factor[step::step])
+    return factor
+
+
+def _lag_product(c: np.ndarray, C: np.ndarray, s: int, ma: bool) -> np.ndarray:
+    """Coefficients, leading 1 included, of (1 - sum c_j B^j)(1 - sum C_k B^{sk}),
+    or of (1 + sum c_j B^j)(1 + sum C_k B^{sk}) when ``ma``."""
+    prod = _lag_factor(c, 1, ma)
+    if C.size:
+        if s < 2:
+            raise ValueError("seasonal coefficients require s >= 2")
+        prod = np.convolve(prod, _lag_factor(C, s, ma))
+    return prod
+
+
 def expand_polynomial(nonseasonal, seasonal=(), s: int = 0) -> np.ndarray:
     """Lag coefficients of the product (1 - sum c_j B^j)(1 - sum C_k B^{sk}).
 
     Input and output are in the positive-lag-weight convention: a returned
     vector ``a`` means the polynomial ``1 - sum_l a_l B^l``.
     """
-    c = np.atleast_1d(np.asarray(nonseasonal, dtype=float))
-    C = np.atleast_1d(np.asarray(seasonal, dtype=float))
-    if C.size and s < 2:
-        raise ValueError("seasonal coefficients require s >= 2")
-    p1 = np.concatenate([[1.0], -c])
-    p2 = np.zeros(1 + s * C.size)
-    p2[0] = 1.0
-    for k in range(C.size):
-        p2[s * (k + 1)] = -C[k]
-    prod = np.convolve(p1, p2)
-    return -prod[1:]
+    return -_lag_product(np.atleast_1d(np.asarray(nonseasonal, dtype=float)),
+                         np.atleast_1d(np.asarray(seasonal, dtype=float)), s, False)[1:]
 
 
 def ma_expand_polynomial(theta, Theta=(), s: int = 0) -> np.ndarray:
     """Lag coefficients b of (1 + sum theta B^k)(1 + sum Theta B^{sk}) = 1 + sum b B^l."""
-    return -expand_polynomial(-np.atleast_1d(np.asarray(theta, dtype=float)),
-                              -np.atleast_1d(np.asarray(Theta, dtype=float)), s)
+    return _lag_product(np.atleast_1d(np.asarray(theta, dtype=float)),
+                        np.atleast_1d(np.asarray(Theta, dtype=float)), s, True)[1:]
+
+
+def _filter_polynomials(params: TsParams, order: ModelOrder) -> tuple[np.ndarray, np.ndarray]:
+    """Full AR and MA polynomials (num, den), leading 1 included: the residual
+    recursion is ``lfilter(num, den, w - mean)`` and the ARMA simulation is
+    ``lfilter(den, num, eps)``."""
+    return (_lag_product(params.phi, params.Phi, order.s, False),
+            _lag_product(params.theta, params.Theta, order.s, True))
 
 
 def _lag_polynomials(params: TsParams, order: ModelOrder) -> tuple[np.ndarray, np.ndarray]:
     """AR and MA lag coefficients (a, b) of the expanded seasonal products."""
-    return (expand_polynomial(params.phi, params.Phi, order.s),
-            ma_expand_polynomial(params.theta, params.Theta, order.s))
+    num, den = _filter_polynomials(params, order)
+    return -num[1:], den[1:]
 
 
 def _lfilter(num, den, x) -> np.ndarray:
     """``scipy.signal.lfilter(num, den, x)``, with scipy imported on first use."""
     from scipy.signal import lfilter
     return lfilter(num, den, x)
-
-
-def _arma_filter(a, b, eps) -> np.ndarray:
-    """Drive z_t = sum_j a_j z_{t-j} + e_t + sum_k b_k e_{t-k} by ``eps``,
-    with presample z and e terms treated as zero."""
-    return _lfilter(np.concatenate([[1.0], b]), np.concatenate([[1.0], -a]), eps)
 
 
 def css_residuals(w, params: TsParams, order: ModelOrder) -> np.ndarray:
@@ -275,13 +299,11 @@ def css_residuals(w, params: TsParams, order: ModelOrder) -> np.ndarray:
     as ``lfilter`` computes a length-1 denominator, so it is bit-identical.
     """
     params.check_order(order)
-    w = np.asarray(w, dtype=float)
-    z = w - params.mean
-    a, b = _lag_polynomials(params, order)
-    num = np.concatenate([[1.0], -a])
-    if b.size == 0:
+    z = np.asarray(w, dtype=float) - params.mean
+    num, den = _filter_polynomials(params, order)
+    if den.size == 1:
         return np.convolve(num, z)[:z.size]
-    return _lfilter(num, np.concatenate([[1.0], b]), z)
+    return _lfilter(num, den, z)
 
 
 def ar_design_matrix(x, p: int, include_mean: bool = True) -> DesignProblem:
@@ -390,10 +412,16 @@ def _min_series_length(order: ModelOrder) -> int:
 
 
 def _unit_region_warnings(params: TsParams, order: ModelOrder, warns: list[str]):
-    a, b = _lag_polynomials(params, order)
-    for name, coefs, region in (("AR", -a, "non-stationary"), ("MA", b, "non-invertible")):
-        if coefs.size:
-            roots = np.roots(np.concatenate([coefs[::-1], [1.0]]))
+    num, den = _filter_polynomials(params, order)
+    for name, poly, region in (("AR", num, "non-stationary"), ("MA", den, "non-invertible")):
+        if poly.size > 1:
+            # With |z| <= r, |sum c_l z^l| <= sum |c_l| r^L, so a bound below 1
+            # leaves no root within r = 1 + 1e-8.  The bound uses r = 1 + 1e-6
+            # to leave room for the rounding of np.roots; NaN reaches np.roots.
+            bound = np.abs(poly[1:]).sum() * (1.0 + 1e-6) ** (poly.size - 1)
+            if bound < 1.0:
+                continue
+            roots = np.roots(poly[::-1])
             if roots.size and np.min(np.abs(roots)) <= 1.0 + 1e-8:
                 warns.append(f"{name} polynomial has a root on or inside the unit "
                              f"circle ({region} region)")
@@ -409,7 +437,7 @@ def _finish_ts_fit(method, x, w, params, order, warns, converged,
     """Residuals, sum of squares and moments of ``params``; ``efficiency(moments,
     warns)`` gives the fit's g (1 when None)."""
     residuals = css_residuals(w, params, order)
-    objective = float(np.sum(residuals * residuals))
+    objective = float((residuals * residuals).sum())
     moments = central_moments(residuals) if residuals.size >= 4 else None
     g = efficiency(moments, warns) if efficiency is not None else 1.0
     _unit_region_warnings(params, order, warns)
@@ -467,10 +495,10 @@ def fit_css(x, order: ModelOrder) -> TsFit:
 
     def objective(vec):
         eps = css_residuals(w, TsParams.from_vector(vec, order), order)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.sum(eps * eps))
+        return float((eps * eps).sum())
 
-    vec, _, converged = minimize_qn(objective, vec0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vec, _, converged = minimize_qn(objective, vec0)
     if not converged:
         warns.append("CSS optimizer did not converge")
         _warnings.warn("fit_css did not converge", RuntimeWarning, stacklevel=2)
@@ -487,10 +515,14 @@ def simulate_arima(order: ModelOrder, params: TsParams, innovations,
     for stationary AR polynomials; this is not enforced.
     """
     params.check_order(order)
+    for name in ("phi", "theta", "Phi", "Theta", "mean"):
+        _require_finite(f"parameter {name}", getattr(params, name))
     eps = np.asarray(innovations, dtype=float)
+    _require_finite("innovations", eps)
     if burnin < 0 or burnin >= eps.size:
         raise ValueError(f"burnin={burnin} must be in [0, len(innovations))")
-    z = _arma_filter(*_lag_polynomials(params, order), eps)[burnin:]
+    num, den = _filter_polynomials(params, order)
+    z = _lfilter(den, num, eps)[burnin:]
     if order.include_mean:
         z = z + params.mean
     for _ in range(order.d):

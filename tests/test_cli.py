@@ -180,6 +180,15 @@ class TestSimulateCommand:
                      "--n", "50", "--output", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [["--ar", "nan"], ["--ar", "0.5", "--mean", "inf"]])
+    def test_non_finite_parameter_is_data_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--order", "1,0,0", "--n", "10", "--output", str(out)]
+                    + flags)
+        assert code == 3
+        assert "NaN or infinite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # --innovations text setting one key, and the full parameter tuple it must
 # give: the named key plus every other key's default.

@@ -3,7 +3,7 @@
 Pure-AR CSS residuals are a finite convolution computed with numpy alone;
 ``scipy.signal`` loads only for the IIR recursions of MA terms, simulation
 and bootstraps.  This file needs numpy, pytest and hypothesis only: the
-comparison against ``scipy.signal.lfilter`` skips when scipy is missing.
+comparisons against ``scipy.signal.lfilter`` skip when scipy is missing.
 """
 
 import csv
@@ -19,7 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmmest.tscore import ModelOrder, TsParams, css_residuals, expand_polynomial
+from pmmest.tscore import (
+    ModelOrder,
+    TsParams,
+    _lag_polynomials,
+    css_residuals,
+    expand_polynomial,
+    ma_expand_polynomial,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 BUNDLED = str(ROOT / "data" / "ar1_gamma_sample.csv")
@@ -114,3 +121,32 @@ def test_pure_ar_residuals_equal_lfilter_bit_for_bit(lfilter, order, n, scale_ex
     num = np.concatenate([[1.0], -expand_polynomial(params.phi, params.Phi, order.s)])
     expected = lfilter(num, [1.0], w - params.mean)
     assert css_residuals(w, params, order).tobytes() == expected.tobytes()
+
+
+_iir_orders = st.builds(
+    lambda p, q, P, Q, s, mean: ModelOrder(p=p, q=q, P=P, Q=Q, s=s, include_mean=mean),
+    st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+    st.sampled_from([4, 12]), st.booleans()).filter(lambda o: o.q + o.Q > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(order=_iir_orders, n=st.integers(1, 400), scale_exp=st.integers(-8, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_iir_residuals_equal_lfilter_of_expanded_polynomials(lfilter, order, n, scale_exp,
+                                                             seed):
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(n) * 10.0**scale_exp
+
+    def coefficients(k):
+        # zeros of either sign: the filter keeps the expansion's signed zeros
+        return rng.choice([0.0, -0.0, 1.0], k) * rng.uniform(-0.95, 0.95, k)
+
+    params = TsParams(coefficients(order.p), coefficients(order.q),
+                      coefficients(order.P), coefficients(order.Q),
+                      rng.standard_normal() * 10.0**scale_exp if order.include_mean else 0.0)
+    a = expand_polynomial(params.phi, params.Phi, order.s)
+    b = ma_expand_polynomial(params.theta, params.Theta, order.s)
+    expected = lfilter(np.r_[1.0, -a], np.r_[1.0, b], w - params.mean)
+    assert css_residuals(w, params, order).tobytes() == expected.tobytes()
+    lag_a, lag_b = _lag_polynomials(params, order)
+    assert (lag_a.tobytes(), lag_b.tobytes()) == (a.tobytes(), b.tobytes())

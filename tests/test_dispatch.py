@@ -241,6 +241,13 @@ NON_FINITE_CASES = {
     "fit_ts_pmm3-trailing-inf": lambda: fit_ts_pmm3(_bundled_with(-1, -np.inf),
                                                     ModelOrder(p=1, q=1)),
     "fit_pmm2-nan-response": _regression_with_nan_response,
+    # simulate_arima wrote NaN or inf rows
+    "simulate_arima-nan-ar": lambda: simulate_arima(
+        ModelOrder(p=1), TsParams([np.nan], [], [], [], 0.0), np.zeros(10)),
+    "simulate_arima-inf-mean": lambda: simulate_arima(
+        ModelOrder(p=1), TsParams([0.5], [], [], [], np.inf), np.zeros(10)),
+    "simulate_arima-nan-innovation": lambda: simulate_arima(
+        ModelOrder(q=1), TsParams([], [0.3], [], [], 0.0), np.r_[np.zeros(5), np.nan]),
 }
 
 

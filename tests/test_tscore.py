@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from pmmest.errors import InputTooShortError
 from pmmest.tscore import (
     ModelOrder,
     TsParams,
+    _unit_region_warnings,
     ar_design_matrix,
     css_residuals,
     difference,
@@ -41,6 +44,20 @@ class TestModelOrder:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ModelOrder(p=-1)
+
+
+class TestTsParams:
+    @pytest.mark.parametrize("field", ["phi", "theta", "Phi", "Theta"])
+    def test_multi_dimensional_coefficients_rejected(self, field):
+        fields = {"phi": [], "theta": [], "Phi": [], "Theta": [], field: [[0.5]]}
+        with pytest.raises(ValueError, match=f"{field} must be one-dimensional"):
+            TsParams(**fields, mean=0.0)
+
+    def test_fields_coerced_to_float_vectors(self):
+        params = TsParams(0.5, (1, 2), [], np.array([3], dtype=np.int64), 1)
+        for v in (params.phi, params.theta, params.Phi, params.Theta):
+            assert v.dtype == np.float64 and v.ndim == 1
+        assert params.theta.tolist() == [1.0, 2.0] and params.mean == 1.0
 
 
 class TestDifference:
@@ -120,6 +137,101 @@ class TestExpandPolynomial:
         assert out[0] == pytest.approx(0.5)
         assert out[3] == pytest.approx(0.3)
         assert out[4] == pytest.approx(+0.15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.integers(0, 4), P=st.integers(0, 2), s=st.sampled_from([0, 4, 12]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_convolution_reference_bit_for_bit(self, p, P, s, seed):
+        rng = np.random.default_rng(seed)
+        # signed zeros included: the reference's convolution turns -0.0 into 0.0
+        pool = np.array([0.0, -0.0, 0.5, -0.25, 1e-300, -3.0])
+        c = rng.choice(pool, p) * rng.uniform(0.5, 2.0, p)
+        C = rng.choice(pool, P if s else 0)
+        assert expand_polynomial(c, C, s).tobytes() == _expand_reference(c, C, s).tobytes()
+        assert ma_expand_polynomial(c, C, s).tobytes() == \
+            (-_expand_reference(-c, -C, s)).tobytes()
+
+
+def _expand_reference(c, C, s):
+    """Reference expansion: both factors convolved, a seasonal [1.0] included."""
+    p1 = np.concatenate([[1.0], -np.asarray(c, dtype=float)])
+    p2 = np.zeros(1 + s * len(C))
+    p2[0] = 1.0
+    for k in range(len(C)):
+        p2[s * (k + 1)] = -C[k]
+    return -np.convolve(p1, p2)[1:]
+
+
+def _unit_region_reference(params, order):
+    """Unit-circle warnings with np.roots called for every nonempty polynomial."""
+    warns = []
+    for name, coefs, region in (
+            ("AR", -expand_polynomial(params.phi, params.Phi, order.s), "non-stationary"),
+            ("MA", ma_expand_polynomial(params.theta, params.Theta, order.s),
+             "non-invertible")):
+        if coefs.size:
+            roots = np.roots(np.concatenate([coefs[::-1], [1.0]]))
+            if roots.size and np.min(np.abs(roots)) <= 1.0 + 1e-8:
+                warns.append(f"{name} polynomial has a root on or inside the unit "
+                             f"circle ({region} region)")
+    return warns
+
+
+_OFFSETS = st.sampled_from([-1e-3, -1e-6, -2e-8, -1e-8, -1e-12, 0.0,
+                              1e-12, 1e-8, 2e-8, 1e-6, 1e-3, 0.3])
+
+
+def _lag_coefficients(rng, degree, how, eps):
+    """c of 1 + sum_l c_l z^l: sum |c_l| = 1 + eps ("sum"), a real root or a
+    complex pair of modulus 1 + eps ("root"), or uniform on [-1, 1] ("plain")."""
+    if degree == 0:
+        return np.empty(0)
+    if how == "sum":
+        c = rng.uniform(-1.0, 1.0, degree)
+        return c * ((1.0 + eps) / np.abs(c).sum())
+    if how == "root":
+        roots = rng.uniform(1.5, 4.0, degree) * rng.choice([-1.0, 1.0], degree)
+        roots = roots.astype(complex)
+        if degree >= 2 and rng.random() < 0.5:
+            angle = rng.uniform(0.1, 3.0)
+            roots[:2] = (1.0 + eps) * np.exp([1j * angle, -1j * angle])
+        else:
+            roots[0] = rng.choice([-1.0, 1.0]) * (1.0 + eps)
+        return np.real(np.poly(1.0 / roots))[1:]
+    return rng.uniform(-1.0, 1.0, degree)
+
+
+_HOW = st.sampled_from(["sum", "root", "plain"])
+
+
+class TestUnitRegionWarnings:
+    @settings(max_examples=400, deadline=None)
+    @given(p=st.integers(0, 4), q=st.integers(0, 4), P=st.integers(0, 2),
+           Q=st.integers(0, 2), s=st.sampled_from([0, 4, 12]), how=st.tuples(_HOW, _HOW),
+           eps=st.tuples(_OFFSETS, _OFFSETS), seed=st.integers(0, 2**32 - 1))
+    def test_equal_to_always_roots_reference(self, p, q, P, Q, s, how, eps, seed):
+        if not s:
+            P = Q = 0
+        rng = np.random.default_rng(seed)
+        order = ModelOrder(p=p, q=q, P=P, Q=Q, s=s)
+        params = params_for(order,
+                            phi=-_lag_coefficients(rng, p, how[0], eps[0]),
+                            theta=_lag_coefficients(rng, q, how[1], eps[1]),
+                            Phi=-_lag_coefficients(rng, P, "plain", 0.0) * 0.5,
+                            Theta=_lag_coefficients(rng, Q, "plain", 0.0) * 0.5)
+        warns = []
+        _unit_region_warnings(params, order, warns)
+        assert warns == _unit_region_reference(params, order)
+
+    @pytest.mark.parametrize("field", ["phi", "theta", "Phi", "Theta"])
+    def test_nan_coefficients_raise_like_reference(self, field):
+        order = ModelOrder(p=1, q=1, P=1, Q=1, s=4)
+        values = {"phi": [0.5], "theta": [0.2], "Phi": [0.1], "Theta": [0.1], field: [np.nan]}
+        params = params_for(order, **values)
+        with pytest.raises(Exception) as ref:
+            _unit_region_reference(params, order)
+        with pytest.raises(ref.type, match=re.escape(str(ref.value))):
+            _unit_region_warnings(params, order, [])
 
 
 class TestCssResiduals:
