@@ -88,16 +88,18 @@ class TsParams:
     mean: float = 0.0
 
     def __post_init__(self):
-        for name in ("phi", "theta", "Phi", "Theta"):
-            v = getattr(self, name)
-            # from_vector hands over float slices once per residual evaluation
-            if type(v) is np.ndarray and v.dtype == np.float64 and v.ndim == 1:
-                continue
-            v = np.atleast_1d(np.asarray(v, dtype=float))
-            if v.ndim > 1:
-                raise ValueError(f"{name} must be one-dimensional, got shape {v.shape}")
-            setattr(self, name, v)
+        self.phi = np.atleast_1d(np.asarray(self.phi, dtype=float))
+        self.theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
+        self.Phi = np.atleast_1d(np.asarray(self.Phi, dtype=float))
+        self.Theta = np.atleast_1d(np.asarray(self.Theta, dtype=float))
         self.mean = float(self.mean)
+        # each ndim is at least 1, so a sum above 4 means a field with more;
+        # one test instead of four, as this runs once per residual evaluation
+        if self.phi.ndim + self.theta.ndim + self.Phi.ndim + self.Theta.ndim > 4:
+            name = next(n for n in ("phi", "theta", "Phi", "Theta")
+                        if getattr(self, n).ndim > 1)
+            raise ValueError(f"{name} must be one-dimensional, "
+                             f"got shape {getattr(self, name).shape}")
 
     @classmethod
     def zeros(cls, order: ModelOrder) -> "TsParams":
@@ -415,12 +417,6 @@ def _unit_region_warnings(params: TsParams, order: ModelOrder, warns: list[str])
     num, den = _filter_polynomials(params, order)
     for name, poly, region in (("AR", num, "non-stationary"), ("MA", den, "non-invertible")):
         if poly.size > 1:
-            # With |z| <= r, |sum c_l z^l| <= sum |c_l| r^L, so a bound below 1
-            # leaves no root within r = 1 + 1e-8.  The bound uses r = 1 + 1e-6
-            # to leave room for the rounding of np.roots; NaN reaches np.roots.
-            bound = np.abs(poly[1:]).sum() * (1.0 + 1e-6) ** (poly.size - 1)
-            if bound < 1.0:
-                continue
             roots = np.roots(poly[::-1])
             if roots.size and np.min(np.abs(roots)) <= 1.0 + 1e-8:
                 warns.append(f"{name} polynomial has a root on or inside the unit "
@@ -495,10 +491,10 @@ def fit_css(x, order: ModelOrder) -> TsFit:
 
     def objective(vec):
         eps = css_residuals(w, TsParams.from_vector(vec, order), order)
-        return float((eps * eps).sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float((eps * eps).sum())
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        vec, _, converged = minimize_qn(objective, vec0)
+    vec, _, converged = minimize_qn(objective, vec0)
     if not converged:
         warns.append("CSS optimizer did not converge")
         _warnings.warn("fit_css did not converge", RuntimeWarning, stacklevel=2)
@@ -515,8 +511,10 @@ def simulate_arima(order: ModelOrder, params: TsParams, innovations,
     for stationary AR polynomials; this is not enforced.
     """
     params.check_order(order)
-    for name in ("phi", "theta", "Phi", "Theta", "mean"):
+    for name in ("phi", "theta", "Phi", "Theta"):
         _require_finite(f"parameter {name}", getattr(params, name))
+    if order.include_mean:  # the mean is unused otherwise
+        _require_finite("parameter mean", params.mean)
     eps = np.asarray(innovations, dtype=float)
     _require_finite("innovations", eps)
     if burnin < 0 or burnin >= eps.size:

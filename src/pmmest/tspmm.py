@@ -49,13 +49,13 @@ __all__ = [
 def _capped_objective(score, weights, m2: float, w, params: TsParams, order: ModelOrder,
                       explosion_cap: float | None) -> float:
     """``score.objective`` of the CSS residuals of ``params``; +inf where the
-    residual recursion is non-finite or some e^2 exceeds ``explosion_cap``.
-    Callers enter ``np.errstate(over="ignore", invalid="ignore")``."""
+    residual recursion is non-finite or some e^2 exceeds ``explosion_cap``."""
     eps = css_residuals(w, params, order)
-    if not np.isfinite(eps).all() or \
-            (explosion_cap is not None and (eps * eps).max() > explosion_cap):
-        return math.inf
-    return score.objective(eps, weights, m2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(eps).all() or \
+                (explosion_cap is not None and (eps * eps).max() > explosion_cap):
+            return math.inf
+        return score.objective(eps, weights, m2)
 
 
 def pmm2_objective(w, params: TsParams, order: ModelOrder, c: float, m2: float,
@@ -67,9 +67,7 @@ def pmm2_objective(w, params: TsParams, order: ModelOrder, c: float, m2: float,
     the residual recursion explodes; ``explosion_cap`` (a bound on e^2, used
     by the optimizer) turns that region into +inf.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _capped_objective(_SCORES["PMM2"], (c,), m2, w, params, order,
-                                 explosion_cap)
+    return _capped_objective(_SCORES["PMM2"], (c,), m2, w, params, order, explosion_cap)
 
 
 def pmm3_objective(w, params: TsParams, order: ModelOrder, b1: float, b3: float,
@@ -79,9 +77,8 @@ def pmm3_objective(w, params: TsParams, order: ModelOrder, b1: float, b3: float,
     Unbounded below when b1 < 0 or b3 < 0 and the recursion explodes; see
     pmm2_objective for the role of explosion_cap.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _capped_objective(_SCORES["PMM3"], (b1, b3), 0.0, w, params, order,
-                                 explosion_cap)
+    return _capped_objective(_SCORES["PMM3"], (b1, b3), 0.0, w, params, order,
+                             explosion_cap)
 
 
 def _two_stage(method: str, x: np.ndarray, order: ModelOrder) -> TsFit:
@@ -115,8 +112,7 @@ def _two_stage(method: str, x: np.ndarray, order: ModelOrder) -> TsFit:
         return _capped_objective(score, weights, mom.m2, w,
                                  TsParams.from_vector(vec, order), order, cap)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        vec, fun, converged = minimize_qn(objective, vec0)
+    vec, fun, converged = minimize_qn(objective, vec0)
     if not converged:
         warns.append(f"{method} optimizer did not converge")
     params = TsParams.from_vector(vec, order)

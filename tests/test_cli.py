@@ -189,6 +189,13 @@ class TestSimulateCommand:
         assert "NaN or infinite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unused_non_finite_mean_is_accepted(self, tmp_path):
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--order", "1,0,0", "--ar", "0.5", "--no-mean",
+                     "--mean", "inf", "--n", "10", "--seed", "3", "--output", str(out)])
+        assert code == 0
+        assert np.isfinite([float(v) for v in out.read_text().splitlines()[1:]]).all()
+
 
 # --innovations text setting one key, and the full parameter tuple it must
 # give: the named key plus every other key's default.

@@ -255,3 +255,9 @@ NON_FINITE_CASES = {
 def test_non_finite_input_raises_data_error(call):
     with pytest.raises(DataError, match="NaN or infinite"):
         call()
+
+
+def test_simulate_arima_ignores_unused_non_finite_mean():
+    z = simulate_arima(ModelOrder(p=1, include_mean=False),
+                       TsParams([0.5], [], [], [], np.inf), np.ones(10))
+    assert np.isfinite(z).all()

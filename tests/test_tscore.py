@@ -163,7 +163,8 @@ def _expand_reference(c, C, s):
 
 
 def _unit_region_reference(params, order):
-    """Unit-circle warnings with np.roots called for every nonempty polynomial."""
+    """Unit-circle warnings from the expanded lag coefficients, each polynomial
+    handed to np.roots as [c_L, ..., c_1, 1]."""
     warns = []
     for name, coefs, region in (
             ("AR", -expand_polynomial(params.phi, params.Phi, order.s), "non-stationary"),
