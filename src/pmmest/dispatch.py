@@ -28,7 +28,7 @@ from .errors import (
     InputTooShortError,
     _require_finite,
 )
-from .linmodel import DesignProblem, fit_ols, fit_pmm2, fit_pmm3, information_criteria
+from .linmodel import _REGRESSION_FITTERS, DesignProblem, information_criteria
 from .tscore import ModelOrder, fit_css
 from .tspmm import fit_ts_pmm2, fit_ts_pmm3
 
@@ -41,7 +41,8 @@ __all__ = [
     "render_decision",
 ]
 
-_REGRESSION_FITTERS = {"OLS": fit_ols, "PMM2": fit_pmm2, "PMM3": fit_pmm3}
+# The public fitters rather than the tscore route behind them, so a traced
+# series fit (bench/tracer.py) opens and closes at them.
 _TS_FITTERS = {"CSS": fit_css, "PMM2": fit_ts_pmm2, "PMM3": fit_ts_pmm3}
 
 

@@ -16,7 +16,7 @@ import numpy as np
 # that the tracer rewrites the one regression table in place.
 from .dispatch import _REGRESSION_FITTERS, _method_name, fit_model  # noqa: F401
 from .errors import _REPLICATE_FAILURES, FitFailureError
-from .linmodel import DesignProblem
+from .linmodel import DesignProblem, _check_level
 from .tscore import ModelOrder, _filter_polynomials, _lfilter, integrate_forecast, param_names
 
 __all__ = [
@@ -70,9 +70,10 @@ def _summarize(names, estimate, reps, B, scheme, fit_method, level, seed,
         replicates=reps if keep_replicates else None)
 
 
-def _check_b(B: int):
+def _check_b(B: int, level: float):
     if B < 1:
         raise ValueError("B must be positive")
+    _check_level(level)
     if B < 50:
         _warnings.warn(f"B = {B} < 50 gives unstable percentile intervals",
                        UserWarning, stacklevel=3)
@@ -114,7 +115,7 @@ def residual_bootstrap(problem: DesignProblem, method: str = "PMM2", B: int = 50
     error.
     """
     method = _method_name(method, regression=True)
-    _check_b(B)
+    _check_b(B, level)
     base = fit_model(problem, method)
     fitted = problem.X @ base.coefficients
     centered = base.residuals - base.residuals.mean()
@@ -153,7 +154,7 @@ def block_bootstrap_ts(x, order: ModelOrder, method: str = "PMM2", B: int = 500,
     n = x.size
     if block_length is None:
         block_length = default_block_length(n)
-    _check_b(B)
+    _check_b(B, level)
     method = _method_name(method, regression=False)
     base = fit_model(x, method, order)
     resid = np.asarray(base.residuals, dtype=float)

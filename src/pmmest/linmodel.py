@@ -216,6 +216,10 @@ def fit_pmm3(problem: DesignProblem, tol: float = 1e-6, max_iter: int = 200) -> 
     return _fit_polynomial("PMM3", problem, tol, max_iter)
 
 
+# method -> regression fitter, for dispatch.fit_model and the AR lag-design route
+_REGRESSION_FITTERS = {"OLS": fit_ols, "PMM2": fit_pmm2, "PMM3": fit_pmm3}
+
+
 def asymptotic_covariance(fit: RegressionFit, problem: DesignProblem) -> np.ndarray:
     """Finite-sample asymptotic covariance g * m2 * (X'X)^-1 of the coefficients."""
     if not fit.converged:
@@ -227,11 +231,15 @@ def asymptotic_covariance(fit: RegressionFit, problem: DesignProblem) -> np.ndar
     return fit.g_coefficient * fit.moments.m2 * xtx_inv
 
 
+def _check_level(level: float):
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level}")
+
+
 def confidence_intervals(fit: RegressionFit, problem: DesignProblem,
                          level: float = 0.95) -> np.ndarray:
     """Normal-quantile intervals coefficient +- z * sqrt(diag covariance), shape (k, 2)."""
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
+    _check_level(level)
     cov = asymptotic_covariance(fit, problem)
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
     half = z * np.sqrt(np.diag(cov))

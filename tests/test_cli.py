@@ -310,6 +310,34 @@ class TestExitCodes:
                      "--design", "a,b", "--method", "ols"])
         assert code == 4
 
+    # Each command passes argparse, then the library rejects an argument with
+    # a ValueError, which must exit 2 with a one-line message.
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--innovations", "gamma:shape=-1", "--n", "20"],
+        ["bootstrap", "--input", "SAMPLE", "--column", "y", "--order", "1,0,0",
+         "--B", "0"],
+        ["bootstrap", "--input", "SAMPLE", "--column", "y", "--order", "1,0,0",
+         "--B", "50", "--block-length", "1"],
+        ["mc", "--model", "ar", "--order", "1,0,0", "--no-mean", "--theta", "0.5",
+         "--innovations", "gamma", "--n", "50", "--n-sim", "10"],
+        ["mc", "--model", "ar", "--order", "1,0,0", "--theta", "0.5,0.2,0.1",
+         "--innovations", "gamma", "--n", "50", "--n-sim", "50"],
+        ["fit", "--input", "SAMPLE", "--column", "y", "--method", "css",
+         "--order", "1,0,0", "--horizon", "-1"],
+        ["grid", "--grid-gamma3", "-1", "--grid-n", "50", "--B", "50"],
+        ["fit", "--input", "SAMPLE", "--column", "y", "--method", "css",
+         "--seasonal", "1,0,0,1"],
+    ], ids=["simulate-innovations", "bootstrap-B", "bootstrap-block-length",
+            "mc-n-sim", "mc-theta-length", "fit-horizon", "grid-gamma3", "seasonal-s"])
+    def test_library_argument_error_is_usage_error(self, argv, tmp_path, capsys):
+        sample = str(Path(__file__).parent.parent / "data" / "ar1_gamma_sample.csv")
+        argv = [sample if a == "SAMPLE" else a for a in argv]
+        if argv[0] in ("simulate", "mc", "grid"):
+            argv += ["--output", str(tmp_path / "out.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_too_short_series_is_data_error(self, tmp_path):
         path = tmp_path / "short.csv"
         write_csv(path, ["y"], [(1.0,), (2.0,), (3.0,)])

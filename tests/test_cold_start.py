@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from pmmest.tscore import (
     ModelOrder,
     TsParams,
-    _lag_polynomials,
+    _filter_polynomials,
     css_residuals,
     expand_polynomial,
     ma_expand_polynomial,
@@ -148,5 +148,5 @@ def test_iir_residuals_equal_lfilter_of_expanded_polynomials(lfilter, order, n, 
     b = ma_expand_polynomial(params.theta, params.Theta, order.s)
     expected = lfilter(np.r_[1.0, -a], np.r_[1.0, b], w - params.mean)
     assert css_residuals(w, params, order).tobytes() == expected.tobytes()
-    lag_a, lag_b = _lag_polynomials(params, order)
-    assert (lag_a.tobytes(), lag_b.tobytes()) == (a.tobytes(), b.tobytes())
+    num, den = _filter_polynomials(params, order)
+    assert ((-num[1:]).tobytes(), den[1:].tobytes()) == (a.tobytes(), b.tobytes())

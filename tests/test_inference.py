@@ -46,6 +46,20 @@ def test_refit_defect_propagates(monkeypatch, run):
         run()
 
 
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2])
+@pytest.mark.parametrize("run", [
+    lambda level: residual_bootstrap(gamma_problem(), "PMM2", B=60, level=level),
+    lambda level: block_bootstrap_ts(gamma_ar1(n=200), ModelOrder(p=1), "CSS", B=60,
+                                     level=level),
+], ids=["residual", "block"])
+def test_bad_level_rejected_before_any_fit(monkeypatch, run, level):
+    calls = []
+    monkeypatch.setattr(inference, "fit_model", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match=r"level must be in \(0, 1\)"):
+        run(level)
+    assert calls == []
+
+
 class TestResidualBootstrap:
     def test_schema_and_sanity(self):
         result = residual_bootstrap(gamma_problem(), method="PMM2", B=200, seed=1)

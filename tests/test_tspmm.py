@@ -188,6 +188,29 @@ class TestTsPmm3:
         assert any("nonconvex" in w for w in fit.warnings)
 
 
+class TestWarningsOncePerFit:
+    def test_lag_design_clamp_noted_once(self):
+        # +-1 innovations: gamma4 + 2 = 0, so the regression and the series
+        # fit both clamp g2
+        rng = np.random.default_rng(0)
+        order = ModelOrder(p=1)
+        x = simulate_arima(order, params_for(order, phi=[0.5]),
+                           rng.choice([-1.0, 1.0], 90), burnin=50)
+        fit = fit_ts_pmm2(x, order)
+        assert fit.warnings == ["sample cumulants inadmissible for g2; clamped to 0"]
+
+    def test_two_stage_unit_circle_noted_once(self):
+        # the CSS stage and the PMM2 stage both end on the unit circle
+        order = ModelOrder(p=1, q=1, P=1, Q=1, s=4)
+        x = simulate_arima(order, params_for(order, [0.5], [0.3], [0.4], [0.2]),
+                           np.random.default_rng(17).uniform(-1.0, 1.0, 90), burnin=50)
+        fit = fit_ts_pmm2(x, order)
+        assert fit.method == "PMM2"
+        assert fit.warnings == [
+            "AR polynomial has a root on or inside the unit circle (non-stationary region)",
+            "MA polynomial has a root on or inside the unit circle (non-invertible region)"]
+
+
 class TestForecast:
     def test_ar1_closed_form(self):
         x = simulate_ar1(120, seed=2)
