@@ -4,6 +4,11 @@ Residual resampling for regression; Carlstein non-overlapping block
 resampling for time series.  Every replicate draws from its own RNG
 substream derived from (seed, replicate index), so results are identical
 regardless of execution order.
+
+``_replicates`` is the one replicate loop, shared with
+``mcbench.run_monte_carlo``: a replicate whose draw or refit raises a fit
+failure, or whose refit does not converge, is dropped, and more than 10%
+dropped is a ``FitFailureError``.  Any other exception propagates.
 """
 
 import math
@@ -79,29 +84,45 @@ def _check_b(B: int, level: float):
                        UserWarning, stacklevel=3)
 
 
-def _replicate_estimates(B: int, seed: int, draw, refit) -> tuple[list, int]:
-    """Refit B resampled data sets; return (coefficient vectors, failed count).
+def _replicates(seeds, draw, refit) -> list:
+    """``refit(draw(rng))`` per SeedSequence in ``seeds``, rng seeded by it;
+    None where the draw or the refit raised one of the fit failures.
 
-    Replicate i draws ``draw(rng)`` from its own SeedSequence child and fits
-    ``refit(data)`` with warnings silenced.  A refit that raises one of the
-    fit failures or does not converge is dropped; more than 10% drops is an
-    error.  Any other exception is a defect and propagates.
+    The refit runs with warnings silenced.  Any other exception is a defect
+    and propagates.
     """
-    reps, n_failed = [], 0
-    for child in np.random.SeedSequence(seed).spawn(B):
-        data = draw(np.random.default_rng(child))
+    out = []
+    for child in seeds:
         try:
+            data = draw(np.random.default_rng(child))
             with _warnings.catch_warnings():
                 _warnings.simplefilter("ignore")
-                fit = refit(data)
-            if not fit.converged:
-                raise FitFailureError("replicate did not converge")
-            reps.append(fit.coefficients)
+                out.append(refit(data))
         except _REPLICATE_FAILURES:
-            n_failed += 1
-    if n_failed > 0.1 * B:
-        raise FitFailureError(f"{n_failed}/{B} bootstrap refits failed")
-    return reps, n_failed
+            out.append(None)
+    return out
+
+
+def _converged(fit):
+    """``fit`` itself; a replicate failure when it did not converge."""
+    if not fit.converged:
+        raise FitFailureError("replicate did not converge")
+    return fit
+
+
+def _check_failures(n_failed: int, total: int, what: str):
+    """More than 10% failed replicates is an error."""
+    if n_failed > 0.1 * total:
+        raise FitFailureError(f"{n_failed}/{total} {what} failed")
+
+
+def _replicate_estimates(B: int, seed: int, draw, refit) -> tuple[list, int]:
+    """Coefficient vectors of B resampled refits, and the failed count."""
+    reps = [c for c in _replicates(np.random.SeedSequence(seed).spawn(B), draw,
+                                   lambda data: _converged(refit(data)).coefficients)
+            if c is not None]
+    _check_failures(B - len(reps), B, "bootstrap refits")
+    return reps, B - len(reps)
 
 
 def residual_bootstrap(problem: DesignProblem, method: str = "PMM2", B: int = 500,
@@ -110,9 +131,8 @@ def residual_bootstrap(problem: DesignProblem, method: str = "PMM2", B: int = 50
     """Residual-resampling bootstrap for a regression fit.
 
     Centered residuals are resampled with replacement, y* = X b + e* is
-    rebuilt, and the same method is refit per replicate.  Replicates whose
-    refit raises or fails to converge are dropped; more than 10% drops is an
-    error.
+    rebuilt, and the same method is refit per replicate.  Replicates are
+    dropped by the module's replicate rule.
     """
     method = _method_name(method, regression=True)
     _check_b(B, level)
@@ -175,10 +195,8 @@ def block_bootstrap_ts(x, order: ModelOrder, method: str = "PMM2", B: int = 500,
             parts.append(blk)
             total += blk.size
         w_star = _lfilter(ma, ar, np.concatenate(parts)[:n_w]) + base.params.mean
-        if order.d + order.D > 0:
-            return np.concatenate([head, integrate_forecast(
-                head, w_star, order.d, order.D, order.s)])
-        return w_star
+        return np.concatenate([head, integrate_forecast(
+            head, w_star, order.d, order.D, order.s)])
 
     reps, n_failed = _replicate_estimates(
         B, seed, draw, lambda x_star: fit_model(x_star, method, order))

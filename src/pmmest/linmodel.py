@@ -10,7 +10,6 @@ coefficient-change rule.
 import math
 import warnings as _warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -39,6 +38,7 @@ __all__ = [
 
 # Relative singular-value tolerance for the rank check.
 RANK_RTOL = 1e-10
+_MAX_ITER = 200  # of the PMM2/PMM3 regression fitters
 
 
 @dataclass
@@ -46,7 +46,7 @@ class DesignProblem:
     """Fixed design matrix (intercept column included when requested) and response.
 
     ``X`` is read as fixed once constructed: its QR factorization is computed
-    on first use and shared by every fit and covariance of the problem.
+    at construction and shared by every fit and covariance of the problem.
     """
 
     X: np.ndarray
@@ -67,10 +67,15 @@ class DesignProblem:
             self.column_names = [f"x{j + 1}" for j in range(k)]
         _require_finite("design matrix X", self.X)
         _require_finite("response y", self.y)
-        sv = np.linalg.svd(self.X, compute_uv=False)
+        q, r = np.linalg.qr(self.X)
+        sv = np.linalg.svd(r, compute_uv=False)  # X = QR has the singular values of R
         if sv[-1] <= RANK_RTOL * sv[0]:
             raise SingularDesignError(
                 f"design is rank deficient (min/max singular value = {sv[-1]:.3e}/{sv[0]:.3e})")
+        # P = R^-1 Q' (k x n): ``P @ v`` is the least-squares solution
+        # (X'X)^-1 X' v, and R^-1 R^-T is (X'X)^-1
+        self._rinv = np.linalg.solve(r, np.eye(k))
+        self._proj = self._rinv @ q.T
 
     @property
     def n(self) -> int:
@@ -79,20 +84,6 @@ class DesignProblem:
     @property
     def k(self) -> int:
         return self.X.shape[1]
-
-    @cached_property
-    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(P, R^-1) from the thin QR X = QR, with P = R^-1 Q' (k x n).
-
-        ``P @ v`` is the least-squares solution (X'X)^-1 X' v and
-        ``R^-1 R^-T`` is (X'X)^-1.
-        """
-        q, r = np.linalg.qr(self.X)
-        diag = np.abs(np.diag(r))
-        if diag.min() <= RANK_RTOL * diag.max():
-            raise SingularDesignError("design is rank deficient in QR factorization")
-        rinv = np.linalg.solve(r, np.eye(self.k))
-        return rinv @ q.T, rinv
 
 
 def build_design(y, columns, include_intercept=True, column_names=None) -> DesignProblem:
@@ -135,8 +126,7 @@ def _moments_or_none(residuals) -> MomentSet | None:
 
 def fit_ols(problem: DesignProblem) -> RegressionFit:
     """Ordinary least squares via QR; the baseline for every comparison."""
-    proj, _ = problem._factors
-    beta = proj @ problem.y
+    beta = problem._proj @ problem.y
     residuals = problem.y - problem.X @ beta
     return RegressionFit(
         method="OLS",
@@ -149,8 +139,7 @@ def fit_ols(problem: DesignProblem) -> RegressionFit:
     )
 
 
-def _fit_polynomial(method: str, problem: DesignProblem, tol: float,
-                    max_iter: int) -> RegressionFit:
+def _fit_polynomial(method: str, problem: DesignProblem, tol: float) -> RegressionFit:
     """Steps P psi(e) / slope from OLS, with P = (X'X)^-1 X' the problem's projection
     and the ``_SCORES[method]`` weights refreshed from each step's residual moments
     (the fallback where undefined)."""
@@ -158,7 +147,7 @@ def _fit_polynomial(method: str, problem: DesignProblem, tol: float,
     if problem.n < problem.k + score.extra_obs:
         raise InputTooShortError(
             f"need n >= k + {score.extra_obs}, got n = {problem.n}, k = {problem.k}")
-    proj, _ = problem._factors
+    proj = problem._proj
     beta = proj @ problem.y  # OLS start
     warns: list[str] = []
     if score.symmetric:
@@ -169,7 +158,7 @@ def _fit_polynomial(method: str, problem: DesignProblem, tol: float,
                 f"{method} assumes symmetric errors")
     converged = False
     iterations = fallback_steps = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         eps = problem.y - problem.X @ beta
         mom = central_moments(eps)
         try:
@@ -186,7 +175,7 @@ def _fit_polynomial(method: str, problem: DesignProblem, tol: float,
         warns.append(f"degenerate residual moments: OLS score used in {fallback_steps} "
                      f"of {iterations} steps")
     if not converged:
-        warns.append(f"no convergence after {max_iter} iterations")
+        warns.append(f"no convergence after {_MAX_ITER} iterations")
         _warnings.warn(f"fit_{method.lower()} did not converge", RuntimeWarning,
                        stacklevel=3)
     residuals = problem.y - problem.X @ beta
@@ -195,17 +184,17 @@ def _fit_polynomial(method: str, problem: DesignProblem, tol: float,
     return RegressionFit(method, beta, residuals, mom, g, iterations, converged, warns)
 
 
-def fit_pmm2(problem: DesignProblem, tol: float = 1e-6, max_iter: int = 200) -> RegressionFit:
+def fit_pmm2(problem: DesignProblem, tol: float = 1e-6) -> RegressionFit:
     """PMM2 regression by fixed-point iteration from the OLS solution.
 
     Each step adds (X'X)^-1 X'[e + c*(e^2 - m2)] with c refreshed from the
     current residual moments; inadmissible moment configurations fall back to
     c = 0 for that step.
     """
-    return _fit_polynomial("PMM2", problem, tol, max_iter)
+    return _fit_polynomial("PMM2", problem, tol)
 
 
-def fit_pmm3(problem: DesignProblem, tol: float = 1e-6, max_iter: int = 200) -> RegressionFit:
+def fit_pmm3(problem: DesignProblem, tol: float = 1e-6) -> RegressionFit:
     """Symmetric PMM3 regression by Newton-type iteration from the OLS solution.
 
     The score X'[b1*e + b3*e^3] uses weights from the current residual moment
@@ -213,7 +202,7 @@ def fit_pmm3(problem: DesignProblem, tol: float = 1e-6, max_iter: int = 200) -> 
     symmetric errors; asymmetric data only triggers a warning because method
     applicability is the dispatcher's call, not the fitter's.
     """
-    return _fit_polynomial("PMM3", problem, tol, max_iter)
+    return _fit_polynomial("PMM3", problem, tol)
 
 
 # method -> regression fitter, for dispatch.fit_model and the AR lag-design route
@@ -226,8 +215,7 @@ def asymptotic_covariance(fit: RegressionFit, problem: DesignProblem) -> np.ndar
         raise FitFailureError("covariance requires a converged fit")
     if fit.moments is None:
         raise FitFailureError("covariance requires residual moments (n >= 4)")
-    _, rinv = problem._factors
-    xtx_inv = rinv @ rinv.T
+    xtx_inv = problem._rinv @ problem._rinv.T
     return fit.g_coefficient * fit.moments.m2 * xtx_inv
 
 

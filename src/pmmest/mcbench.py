@@ -10,6 +10,10 @@ requested method, and reports MSE / bias / variance / coverage plus the
 empirical efficiency gain MSE(method) / MSE(baseline) next to the
 theoretical g2 or g3.  The "ml" method name is accepted as an alias for
 "css" (exact-likelihood ARIMA is out of scope) with a warning.
+
+Replicates, serial or in process-pool chunks, run through the bootstraps'
+loop ``inference._replicates`` and follow its drop rule; a replicate dropped
+for one method is dropped for all.
 """
 
 import csv
@@ -23,7 +27,7 @@ import numpy as np
 
 from .cumulants import CumulantProfile, g2_coefficient, g3_coefficient
 from .dispatch import fit_model
-from .errors import _REPLICATE_FAILURES, FitFailureError
+from .inference import _check_failures, _converged, _replicates
 from .linmodel import asymptotic_covariance, build_design
 from .tscore import (
     ModelOrder,
@@ -278,9 +282,7 @@ def _simulate_spec(spec: McSpec, rng: np.random.Generator):
 
 def _fit_method(spec: McSpec, method: str, data, z: float):
     """Fit one method; return (estimates, covered-indicator vector)."""
-    fit = fit_model(data, method, spec.order)
-    if not fit.converged:
-        raise FitFailureError("fit did not converge")
+    fit = _converged(fit_model(data, method, spec.order))
     if spec.model == "regression":
         cov = asymptotic_covariance(fit, data)
     else:
@@ -291,27 +293,13 @@ def _fit_method(spec: McSpec, method: str, data, z: float):
     return est, covered
 
 
-def _run_replicate(spec: McSpec, methods, level: float, seed_seq):
-    """One replicate: simulate once, fit all methods.  None signals a fit
-    failure; any other exception propagates."""
-    rng = np.random.default_rng(seed_seq)
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
-    try:
-        data = _simulate_spec(spec, rng)
-        out = {}
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore")
-            for method in methods:
-                out[method] = _fit_method(spec, method, data, z)
-        return out
-    except _REPLICATE_FAILURES:
-        return None
-
-
 def _replicate_chunk(args):
-    spec, methods, level, indexed_seeds = args
-    return [(idx, _run_replicate(spec, methods, level, ss))
-            for idx, ss in indexed_seeds]
+    """Payloads {method: (estimates, covered)} of one chunk of replicates, None
+    for a failed replicate: each simulates once and fits every method."""
+    spec, methods, level, seeds = args
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
+    return _replicates(seeds, lambda rng: _simulate_spec(spec, rng),
+                       lambda data: {m: _fit_method(spec, m, data, z) for m in methods})
 
 
 def run_monte_carlo(specs, methods, n_sim: int, seed: int = 0,
@@ -338,20 +326,15 @@ def run_monte_carlo(specs, methods, n_sim: int, seed: int = 0,
         is_ts = spec.model in _TS_MODELS
         spec_methods = _normalize_methods(methods, is_ts)
         rep_seeds = spec_streams[si].spawn(n_sim)
-        indexed = list(enumerate(rep_seeds))
         if n_jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
             chunk_size = max(1, math.ceil(n_sim / (n_jobs * 4)))
-            chunks = [(spec, spec_methods, level, indexed[i:i + chunk_size])
+            chunks = [(spec, spec_methods, level, rep_seeds[i:i + chunk_size])
                       for i in range(0, n_sim, chunk_size)]
-            payloads: list = [None] * n_sim
             with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-                for part in pool.map(_replicate_chunk, chunks):
-                    for idx, payload in part:
-                        payloads[idx] = payload
+                payloads = [p for part in pool.map(_replicate_chunk, chunks) for p in part]
         else:
-            payloads = [_run_replicate(spec, spec_methods, level, ss)
-                        for _, ss in indexed]
+            payloads = _replicate_chunk((spec, spec_methods, level, rep_seeds))
         names = _spec_param_names(spec)
         k = len(names)
         est = {m: np.full((n_sim, k), np.nan) for m in spec_methods}
@@ -364,9 +347,7 @@ def run_monte_carlo(specs, methods, n_sim: int, seed: int = 0,
             for m in spec_methods:
                 est[m][idx] = payload[m][0]
                 cov[m][idx] = payload[m][1]
-        if failed > 0.1 * n_sim:
-            raise FitFailureError(
-                f"spec {spec.label!r}: {failed}/{n_sim} replicates failed")
+        _check_failures(failed, n_sim, f"replicates of spec {spec.label!r}")
         n_failed[spec.label] = failed
         keep = ~np.isnan(est[spec_methods[0]][:, 0])
         theta = np.asarray(spec.theta)

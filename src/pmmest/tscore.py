@@ -223,11 +223,11 @@ def integrate_forecast(history, diffs_forecast, d: int = 0, D: int = 0,
         h = h[s:] - h[:-s]
         seasonal.append(h)
     for j in range(D, 0, -1):
-        seed = seasonal[j - 1][-s:]  # last s values at the coarser level
-        out = np.empty(fc.size)
-        for t, v in enumerate(fc):
-            out[t] = v + (seed[t] if t < s else out[t - s])
-        fc = out
+        # seeded by the last s values at the coarser level; each phase is a cumsum
+        out = np.concatenate([seasonal[j - 1][-s:], fc])
+        for phase in range(s):
+            out[phase::s] = np.cumsum(out[phase::s])
+        fc = out[s:]
     for j in range(d, 0, -1):
         fc = np.cumsum(fc) + regular[j - 1][-1]
     return fc
@@ -418,9 +418,17 @@ def minimize_qn(f, x0):
 # Estimation (CSS, PMM2, PMM3) and simulation
 # ---------------------------------------------------------------------------
 
-def _min_series_length(order: ModelOrder) -> int:
-    return (order.p + order.q + order.s * (order.P + order.Q)
-            + order.d + order.D * order.s + 5)
+def _min_series_length(order: ModelOrder, method: str) -> int:
+    """One less than the observations a ``method`` fit of ``order`` needs: more
+    than p + q + s(P + Q) + d + sD + 5, and on the lag-design route a design of
+    k columns with k + ``_SCORES[method].extra_obs`` rows (k + 1 for CSS)."""
+    lags = order.p + order.d + order.D * order.s
+    need = lags + order.q + order.s * (order.P + order.Q) + 5
+    if _lag_design_route(method, order):
+        score = _SCORES.get(method)
+        rows = order.p + int(order.include_mean) + (score.extra_obs if score else 1)
+        need = max(need, lags + rows - 1)
+    return need
 
 
 def _unit_region_warnings(params: TsParams, order: ModelOrder, warns: list[str]):
@@ -433,9 +441,16 @@ def _unit_region_warnings(params: TsParams, order: ModelOrder, warns: list[str])
                              f"circle ({region} region)")
 
 
-def _is_pure_ar(order: ModelOrder) -> bool:
-    """True when the order has AR terms and no MA or seasonal ARMA terms."""
-    return order.p >= 1 and order.q == 0 and order.P == 0 and order.Q == 0
+def _lag_design_route(method: str, order: ModelOrder) -> bool:
+    """True when ``method`` fits ``order`` by the lag-design regression: a pure
+    nonseasonal AR order, except ARI(p,d,0) PMM2 with d + D >= 1.
+
+    That PMM2 case keeps the quasi-Newton route: acceptance criteria 5-6 and
+    the benchmark's advantage_grid reference values pin its numbers, so moving
+    it to the lag design needs its own Monte Carlo comparison of both routes.
+    """
+    return (order.p >= 1 and order.q == 0 and order.P == 0 and order.Q == 0
+            and (method != "PMM2" or order.d + order.D == 0))
 
 
 def _finish_ts_fit(method, x, w, params, order, warns, converged) -> TsFit:
@@ -535,16 +550,12 @@ def _fit_series(method: str, x, order: ModelOrder) -> TsFit:
     """
     x = np.asarray(x, dtype=float)
     _require_finite("series", x)
-    need = _min_series_length(order)
+    need = _min_series_length(order, method)
     if x.size <= need:
         raise InputTooShortError(
             f"series length {x.size} too short for order requiring > {need} observations")
     w = difference(x, order.d, order.D, order.s)
-    # ARI(p,d,0) PMM2 with d + D >= 1 keeps the quasi-Newton route: acceptance
-    # criteria 5-6 and the benchmark's advantage_grid reference values pin
-    # its numbers, so moving it to the lag design needs its own Monte Carlo
-    # comparison of both routes.
-    if _is_pure_ar(order) and (method != "PMM2" or order.d + order.D == 0):
+    if _lag_design_route(method, order):
         return _lag_design_fit(method, x, w, order)
     if method != "CSS":
         return _two_stage(method, x, w, order)
@@ -580,7 +591,8 @@ def fit_css(x, order: ModelOrder) -> TsFit:
 
 def simulate_arima(order: ModelOrder, params: TsParams, innovations,
                    burnin: int = 0) -> np.ndarray:
-    """Drive the ARMA recursion with given innovations, then integrate d/D times.
+    """Drive the ARMA recursion with given innovations, then integrate d/D times
+    from a zero history.
 
     The first ``burnin`` generated values are discarded before integration, so
     the output has length len(innovations) - burnin.  Burn-in only makes sense
@@ -599,13 +611,8 @@ def simulate_arima(order: ModelOrder, params: TsParams, innovations,
     z = _lfilter(den, num, eps)[burnin:]
     if order.include_mean:
         z = z + params.mean
-    for _ in range(order.d):
-        z = np.cumsum(z)
-    for _ in range(order.D):
-        z = z.copy()
-        for offset in range(order.s):
-            z[offset::order.s] = np.cumsum(z[offset::order.s])
-    return z
+    return integrate_forecast(np.zeros(order.d + order.D * order.s), z,
+                              order.d, order.D, order.s)
 
 
 def ts_asymptotic_covariance(fit: TsFit) -> np.ndarray:

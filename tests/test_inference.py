@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from pmmest import inference
+from pmmest import inference, mcbench
+from pmmest.errors import FitFailureError
 from pmmest.inference import block_bootstrap_ts, default_block_length, residual_bootstrap
 from pmmest.linmodel import build_design
-from pmmest.mcbench import InnovationSpec, sample_innovations
+from pmmest.mcbench import InnovationSpec, McSpec, run_monte_carlo, sample_innovations
 from pmmest.tscore import ModelOrder, TsParams, simulate_arima
 
 
@@ -44,6 +47,92 @@ def test_refit_defect_propagates(monkeypatch, run):
     raise_after_base_fit(monkeypatch, inference)
     with pytest.raises(TypeError, match="defect in a replicate refit"):
         run()
+
+
+def residual_replicates(problem):
+    res = residual_bootstrap(problem, "PMM2", B=60, seed=0, keep_replicates=True)
+    return res.n_failed, res.replicates
+
+
+def block_replicates(x):
+    res = block_bootstrap_ts(x, ModelOrder(p=1), "CSS", B=60, seed=0, keep_replicates=True)
+    return res.n_failed, res.replicates
+
+
+def mc_replicates(_):
+    spec = McSpec("regression", (1.0, 2.0), InnovationSpec("gamma"), 60, label="reg")
+    results, summary = run_monte_carlo([spec], ("ols",), 60, seed=0)
+    est = results[("reg", "ols")]
+    return summary.n_failed["reg"], est[~np.isnan(est[:, 0])]
+
+
+# The one replicate rule, run against each driver that uses it: the module
+# whose fit_model the driver calls, the fits made before the first replicate,
+# the data maker and the run, which returns (failed count, kept estimates).
+REPLICATE_DRIVERS = pytest.mark.parametrize("module, base_fits, data, run", [
+    (inference, 1, gamma_problem, residual_replicates),
+    (inference, 1, lambda: gamma_ar1(n=200), block_replicates),
+    (mcbench, 0, lambda: None, mc_replicates),
+], ids=["residual", "block", "monte_carlo"])
+
+
+def unconverge(monkeypatch, module, base_fits, replicates):
+    """Make fit_model in ``module`` return unconverged fits on the chosen replicates."""
+    real, calls = module.fit_model, []
+
+    def fit_model(*args, **kwargs):
+        fit = real(*args, **kwargs)
+        calls.append(args)
+        if len(calls) - 1 - base_fits in replicates:
+            return dataclasses.replace(fit, converged=False)
+        return fit
+
+    monkeypatch.setattr(module, "fit_model", fit_model)
+
+
+@REPLICATE_DRIVERS
+def test_unconverged_replicates_dropped_and_counted(monkeypatch, module, base_fits, data, run):
+    data = data()
+    n_failed, clean = run(data)
+    assert n_failed == 0
+    unconverge(monkeypatch, module, base_fits, {1, 4, 6})
+    n_failed, kept = run(data)
+    assert n_failed == 3
+    assert np.array_equal(kept, np.delete(clean, [1, 4, 6], axis=0))
+
+
+@REPLICATE_DRIVERS
+def test_more_than_a_tenth_dropped_is_a_fit_failure(monkeypatch, module, base_fits, data,
+                                                     run):
+    data = data()
+    unconverge(monkeypatch, module, base_fits, set(range(6)))
+    assert run(data)[0] == 6
+    unconverge(monkeypatch, module, base_fits, set(range(7)))
+    with pytest.raises(FitFailureError, match="7/60"):
+        run(data)
+
+
+class BrokenRng:
+    """A generator whose every draw raises ``error``."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def __getattr__(self, name):
+        raise self.error("draw failed")
+
+
+@REPLICATE_DRIVERS
+@pytest.mark.parametrize("error, expected", [(TypeError, TypeError),
+                                             (FloatingPointError, FitFailureError)])
+def test_draw_errors_follow_the_replicate_rule(monkeypatch, module, base_fits, data, run,
+                                               error, expected):
+    # a fit failure while drawing drops the replicate (here every one, so the
+    # run fails); a defect while drawing propagates
+    data = data()
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: BrokenRng(error))
+    with pytest.raises(expected, match="draw failed|60/60"):
+        run(data)
 
 
 @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2])

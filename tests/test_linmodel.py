@@ -76,7 +76,7 @@ class TestFactorization:
         rng = np.random.default_rng(seed)
         X = np.column_stack([np.ones(n), rng.standard_normal((n, k - 1))])
         y = rng.standard_normal(n) * 10.0 + X @ rng.standard_normal(k)
-        projection = DesignProblem(X, y)._factors[0]
+        projection = DesignProblem(X, y)._proj
         expected = np.linalg.lstsq(X, y, rcond=None)[0]
         assert np.abs(projection @ y - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
 

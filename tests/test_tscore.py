@@ -105,6 +105,31 @@ class TestDifference:
         out = integrate_forecast(x, np.zeros(3), d=1)
         assert out.tolist() == [8.0, 8.0, 8.0]
 
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(0, 2), D=st.integers(1, 2), s=st.sampled_from([2, 3, 4, 12]),
+           h=st.integers(0, 40), seed=st.integers(0, 2**31))
+    def test_seasonal_integration_equals_element_loop(self, d, D, s, h, seed):
+        rng = np.random.default_rng(seed)
+        history = rng.standard_normal(d + D * s + 5).cumsum()
+        fc = rng.standard_normal(h)
+        # reference: the element-by-element recursion out[t] = fc[t] + out[t - s]
+        regular = [history]
+        for _ in range(d):
+            regular.append(np.diff(regular[-1]))
+        seasonal = [regular[-1]]
+        for _ in range(D):
+            seasonal.append(seasonal[-1][s:] - seasonal[-1][:-s])
+        expected = fc
+        for j in range(D, 0, -1):
+            seed_values = seasonal[j - 1][-s:]
+            out = np.empty(expected.size)
+            for t, v in enumerate(expected):
+                out[t] = v + (seed_values[t] if t < s else out[t - s])
+            expected = out
+        for j in range(d, 0, -1):
+            expected = np.cumsum(expected) + regular[j - 1][-1]
+        assert integrate_forecast(history, fc, d, D, s).tobytes() == expected.tobytes()
+
 
 class TestArDesign:
     def test_single_lag(self):
@@ -352,6 +377,28 @@ class TestFitCss:
         x = np.random.default_rng(3).standard_normal(n).cumsum()
         with pytest.raises(InputTooShortError):
             fitter(x, order)
+
+    @pytest.mark.parametrize("fitter, extra", [(fit_ts_pmm2, 4), (fit_ts_pmm3, 6)])
+    @pytest.mark.parametrize("d", [0, 1])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_length_rule_covers_the_pmm_lag_design(self, fitter, extra, d, p):
+        # the lag design of k columns needs k + extra rows; ARI PMM2 takes the
+        # two-stage route, which needs only more than p + d + 5 observations
+        k = p + int(d == 0)
+        shortest = p + d + 6
+        if fitter is fit_ts_pmm3 or d == 0:
+            shortest = max(shortest, d + p + k + extra)
+        x = np.random.default_rng(0).standard_normal(shortest + 1)
+        if d:
+            x = x.cumsum()
+        order = ModelOrder(p=p, d=d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for n in (shortest - 2, shortest - 1):
+                with pytest.raises(InputTooShortError, match=f"series length {n} too short"):
+                    fitter(x[:n], order)
+            for n in (shortest, shortest + 1):
+                assert fitter(x[:n], order).params.phi.size == p
 
 
 class TestMinimizeQn:
