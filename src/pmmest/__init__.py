@@ -30,6 +30,7 @@ from .errors import (
     FitFailureError,
     InadmissibleCumulantsError,
     InputTooShortError,
+    MomentOverflowError,
     PmmError,
     SingularDesignError,
 )

@@ -31,6 +31,7 @@ from .errors import (
     DegenerateMomentsError,
     InadmissibleCumulantsError,
     InputTooShortError,
+    MomentOverflowError,
 )
 
 __all__ = [
@@ -90,6 +91,9 @@ def central_moments(x, m2_ddof: int = 1) -> MomentSet:
         Denominator offset for the variance (1 gives the unbiased n-1
         denominator, 0 the plug-in n denominator).  Higher moments always use
         denominator n.
+
+    Raises MomentOverflowError when the standardized cumulants overflow the
+    float range, as for the residuals of a diverging iteration.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -113,9 +117,13 @@ def central_moments(x, m2_ddof: int = 1) -> MomentSet:
     m3 = float(d2 @ d) / n
     m4 = float(d4.sum()) / n
     m6 = float(d4 @ d2) / n
-    gamma3 = m3 / m2**1.5
-    gamma4 = m4 / m2**2 - 3.0
-    gamma6 = m6 / m2**3 - 15.0 * gamma4 - 10.0 * gamma3**2 - 15.0
+    try:  # a finite Python float power raises where numpy would give inf
+        gamma3 = m3 / m2**1.5
+        gamma4 = m4 / m2**2 - 3.0
+        gamma6 = m6 / m2**3 - 15.0 * gamma4 - 10.0 * gamma3**2 - 15.0
+    except OverflowError:
+        raise MomentOverflowError(
+            f"sample moments overflow the float range (m2 = {m2:g})") from None
     return MomentSet(n, mean, m2, m3, m4, m6, gamma3, gamma4, gamma6)
 
 
@@ -234,6 +242,7 @@ class _Score:
     weights: Callable    # MomentSet -> w; raises DegenerateDistribution/MomentsError
     fallback: tuple      # the w whose score is the OLS/CSS one
     psi: Callable        # (e, w, m2) -> psi(e)
+    dpsi: Callable       # (e, w, m2) -> psi'(e), the weights of the exact Hessian
     slope: Callable      # (w, m2) -> E[psi'(e)], the Newton step divisor
     objective: Callable  # (e, w, m2) -> summed antiderivative of psi
     clamp: Callable      # (MomentSet | None, warns) -> the fit's g
@@ -246,6 +255,7 @@ _SCORES = {
     "PMM2": _Score(
         lambda mom: (pmm2_weight(mom.m2, mom.m3, mom.m4),), (0.0,),
         lambda e, w, m2: e + w[0] * (e * e - m2),
+        lambda e, w, m2: 1.0 + 2.0 * w[0] * e,
         lambda w, m2: 1.0,
         lambda e, w, m2: float((0.5 * e * e + w[0] * (e * e * e / 3.0 - m2 * e)).sum()),
         _clamped_g2, 4, False),
@@ -254,6 +264,7 @@ _SCORES = {
     "PMM3": _Score(
         lambda mom: pmm3_weights(mom.m2, mom.m4, mom.m6), (1.0, 0.0),
         lambda e, w, m2: w[0] * e + w[1] * (e * e * e),
+        lambda e, w, m2: w[0] + 3.0 * w[1] * (e * e),
         lambda w, m2: w[0] + 3.0 * w[1] * m2,
         lambda e, w, m2: float((0.5 * w[0] * e * e + 0.25 * w[1] * ((e * e) * (e * e))).sum()),
         _clamped_g3, 6, True),

@@ -23,6 +23,10 @@ class DegenerateMomentsError(PmmError):
     """Moment matrix is singular or indefinite; polynomial weights undefined."""
 
 
+class MomentOverflowError(PmmError):
+    """Sample moments overflow the float range (residuals of a diverging iteration)."""
+
+
 class SingularDesignError(PmmError):
     """Design matrix is rank deficient at the working tolerance."""
 

@@ -127,16 +127,22 @@ class TsParams:
 
     @classmethod
     def from_vector(cls, vec, order: ModelOrder) -> "TsParams":
+        """Split a parameter vector into fields, views of ``vec`` when it is
+        float64; the fields are those the constructor gives, bit for bit."""
         vec = np.asarray(vec, dtype=float)
-        if vec.size != order.n_params:
-            raise ValueError(f"expected {order.n_params} parameters, got {vec.size}")
+        if vec.ndim != 1 or vec.size != order.n_params:
+            raise ValueError(f"expected a vector of {order.n_params} parameters, "
+                             f"got shape {vec.shape}")
+        # slices of a 1-D float64 array already pass __post_init__'s coercion,
+        # and this runs once per residual evaluation, so it is skipped
+        self = cls.__new__(cls)
         i = 0
-        phi = vec[i:i + order.p]; i += order.p
-        theta = vec[i:i + order.q]; i += order.q
-        Phi = vec[i:i + order.P]; i += order.P
-        Theta = vec[i:i + order.Q]; i += order.Q
-        mean = vec[i] if order.include_mean else 0.0
-        return cls(phi, theta, Phi, Theta, mean)
+        self.phi = vec[i:i + order.p]; i += order.p
+        self.theta = vec[i:i + order.q]; i += order.q
+        self.Phi = vec[i:i + order.P]; i += order.P
+        self.Theta = vec[i:i + order.Q]; i += order.Q
+        self.mean = float(vec[i]) if order.include_mean else 0.0
+        return self
 
 
 def param_names(order: ModelOrder) -> list[str]:
@@ -441,16 +447,21 @@ def _unit_region_warnings(params: TsParams, order: ModelOrder, warns: list[str])
                              f"circle ({region} region)")
 
 
+def _is_pure_ar(order: ModelOrder) -> bool:
+    """True for a pure nonseasonal AR order (p >= 1, no MA or seasonal terms)."""
+    return order.p >= 1 and order.q == 0 and order.P == 0 and order.Q == 0
+
+
 def _lag_design_route(method: str, order: ModelOrder) -> bool:
     """True when ``method`` fits ``order`` by the lag-design regression: a pure
     nonseasonal AR order, except ARI(p,d,0) PMM2 with d + D >= 1.
 
-    That PMM2 case keeps the quasi-Newton route: acceptance criteria 5-6 and
-    the benchmark's advantage_grid reference values pin its numbers, so moving
-    it to the lag design needs its own Monte Carlo comparison of both routes.
+    That PMM2 estimator is the minimizer of the frozen-moment objective reached
+    from the CSS start (acceptance criterion 7 checks its objective against the
+    CSS one), which the regression with refreshed weights is not; ``_two_stage``
+    reaches it by exact Newton.
     """
-    return (order.p >= 1 and order.q == 0 and order.P == 0 and order.Q == 0
-            and (method != "PMM2" or order.d + order.D == 0))
+    return _is_pure_ar(order) and (method != "PMM2" or order.d + order.D == 0)
 
 
 def _finish_ts_fit(method, x, w, params, order, warns, converged) -> TsFit:
@@ -489,11 +500,9 @@ def _lag_design_fit(method, x, w, order) -> TsFit:
     return _finish_ts_fit(method, x, w, params, order, warns, rfit.converged)
 
 
-def _capped_objective(score, weights, m2: float, w, params: TsParams, order: ModelOrder,
-                      explosion_cap: float | None) -> float:
-    """``score.objective`` of the CSS residuals of ``params``; +inf where the
-    residual recursion is non-finite or some e^2 exceeds ``explosion_cap``."""
-    eps = css_residuals(w, params, order)
+def _capped(score, weights, m2: float, eps: np.ndarray, explosion_cap: float | None) -> float:
+    """``score.objective`` of residuals ``eps``; +inf where they are non-finite
+    or some e^2 exceeds ``explosion_cap``."""
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(eps).all() or \
                 (explosion_cap is not None and (eps * eps).max() > explosion_cap):
@@ -501,9 +510,76 @@ def _capped_objective(score, weights, m2: float, w, params: TsParams, order: Mod
         return score.objective(eps, weights, m2)
 
 
+def _capped_objective(score, weights, m2: float, w, params: TsParams, order: ModelOrder,
+                      explosion_cap: float | None) -> float:
+    """``_capped`` objective of the CSS residuals of ``params``."""
+    return _capped(score, weights, m2, css_residuals(w, params, order), explosion_cap)
+
+
+def _newton_ar(score, weights, m2: float, w: np.ndarray, phi0: np.ndarray,
+               explosion_cap: float) -> tuple[np.ndarray, bool]:
+    """Minimize the frozen ``score`` objective over pure AR coefficients by Newton;
+    returns (phi, converged).
+
+    Without a mean, CSS residuals of a pure AR order are linear in phi:
+    e = w - Z phi, Z the lags of ``w`` with presample zeros, as in
+    ``css_residuals``.  The gradient -Z'psi(e) and the Hessian
+    Z' diag(psi'(e)) Z are therefore exact; where the Hessian is not positive
+    definite the step is the Z'Z (regression score) one.  Step cap, Armijo test
+    and explosion cap are those of ``minimize_qn`` and ``_two_stage``.
+
+    Stops when the step, or the Armijo backtracking, falls below 1e-12
+    relative, and is converged only if the Newton decrement r'H^-1 r (r the
+    gradient, measured in the Hessian's metric) is below 1e-10 of
+    max(|Q|, m * m2), m * m2 being about twice the objective at the CSS
+    start: a step that shrinks to nothing against the explosion cap is not
+    convergence.
+    """
+    m, p = w.size, phi0.size
+    Z = np.zeros((m, p))
+    for j in range(1, p + 1):
+        Z[j:, j - 1] = w[:m - j]
+    phi = np.array(phi0, dtype=float)
+    e = w - Z @ phi
+    f = _capped(score, weights, m2, e, explosion_cap)
+    if not math.isfinite(f):
+        return phi, False
+    for _ in range(500):
+        r = Z.T @ score.psi(e, weights, m2)  # minus the gradient
+        H = Z.T @ (score.dpsi(e, weights, m2)[:, None] * Z)
+        try:
+            np.linalg.cholesky(H)
+        except np.linalg.LinAlgError:
+            H = Z.T @ Z
+        d = np.linalg.solve(H, r)
+        decrement = float(r @ d)
+        if not math.isfinite(decrement):
+            return phi, False
+        converged = decrement <= 1e-10 * max(abs(f), m * m2)
+        size = max(1.0, float(np.max(np.abs(phi))))
+        dnorm = float(np.max(np.abs(d)))
+        alpha = min(1.0, 0.1 * size / dnorm) if dnorm > 1e-12 * size else 0.0
+        zd = Z @ d
+        while alpha * dnorm > 1e-12 * size:
+            en = e - alpha * zd
+            fn = _capped(score, weights, m2, en, explosion_cap)
+            if math.isfinite(fn) and fn <= f - 1e-4 * alpha * decrement:
+                break
+            alpha *= 0.5
+        else:  # the step, or what backtracking left of it, is below 1e-12
+            return phi, converged
+        phi = phi + alpha * d
+        e, f = en, fn
+    return phi, False
+
+
 def _two_stage(method: str, x: np.ndarray, w: np.ndarray, order: ModelOrder) -> TsFit:
     """CSS fit, then the ``_SCORES[method]`` objective minimized from it with the
-    CSS residual moments frozen; unusable moments return the CSS fit."""
+    CSS residual moments frozen; unusable moments return the CSS fit.
+
+    Pure nonseasonal AR orders without a mean (ARI(p,d,0) PMM2) are minimized
+    by ``_newton_ar``, any other order by ``minimize_qn``.
+    """
     score = _SCORES[method]
     base = fit_css(x, order)
     if not base.converged:
@@ -525,16 +601,20 @@ def _two_stage(method: str, x: np.ndarray, w: np.ndarray, order: ModelOrder) -> 
     if score.symmetric and weights[0] < 0.0:
         warns.append(f"b1 < 0 (platykurtic residuals): {method} objective may be nonconvex")
     cap = 1e6 * mom.m2  # residuals past 1000 sd flag an exploding recursion
+    if _is_pure_ar(order) and not order.include_mean:
+        phi, converged = _newton_ar(score, weights, mom.m2, w, base.params.phi, cap)
+        params = TsParams.from_vector(phi, order)
+    else:
+        def objective(vec):
+            return _capped_objective(score, weights, mom.m2, w,
+                                     TsParams.from_vector(vec, order), order, cap)
 
-    def objective(vec):
-        return _capped_objective(score, weights, mom.m2, w,
-                                 TsParams.from_vector(vec, order), order, cap)
-
-    vec, fun, converged = minimize_qn(objective, base.params.to_vector(order))
+        vec, _, converged = minimize_qn(objective, base.params.to_vector(order))
+        params = TsParams.from_vector(vec, order)
     if not converged:
         warns.append(f"{method} optimizer did not converge")
-    params = TsParams.from_vector(vec, order)
     residuals = css_residuals(w, params, order)
+    fun = _capped(score, weights, mom.m2, residuals, cap)
     g = score.clamp(mom, warns)
     _unit_region_warnings(params, order, warns)
     return TsFit(method, order, params, residuals, x, mom, g, fun, converged, warns)

@@ -4,7 +4,9 @@ Two-stage scheme for models with MA or seasonal structure: a CSS fit supplies
 starting values and the residual moments, which stay frozen while the
 polynomial objective is minimized by quasi-Newton.  Pure (nonseasonal) AR
 models reduce to the lag-design regression and reuse the linear-model fitters
-directly (for PMM2 only when undifferenced).  Both methods run the one
+directly (for PMM2 only when undifferenced).  Differenced pure AR (ARI) PMM2
+keeps the two stages, but its residuals are linear in phi, so the second
+stage is exact Newton on the frozen objective.  Both methods run the one
 time-series route in ``tscore`` over the ``cumulants._SCORES`` records.
 """
 
@@ -73,8 +75,10 @@ def fit_ts_pmm2(x, order: ModelOrder) -> TsFit:
     Undifferenced pure AR orders are fit by the fixed-point regression on the
     lag design.  Otherwise stage 1 fits CSS for starting values and freezes
     the residual moments (m2, m3, m4); stage 2 minimizes the polynomial
-    objective from that start.  Inadmissible frozen cumulants return the CSS
-    fit (tagged CSS) with a warning instead of failing.
+    objective from that start, by exact Newton for ARI(p,d,0) orders (their
+    residuals are linear in phi) and by quasi-Newton for any order with MA or
+    seasonal terms.  Inadmissible frozen cumulants return the CSS fit (tagged
+    CSS) with a warning instead of failing.
     """
     return _fit_series("PMM2", x, order)
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmmest.cumulants import (
+    _SCORES,
     MomentSet,
     _clamped_g2,
     _clamped_g3,
@@ -20,7 +21,12 @@ from pmmest.errors import (
     DegenerateMomentsError,
     InadmissibleCumulantsError,
     InputTooShortError,
+    MomentOverflowError,
+    PmmError,
 )
+from pmmest.linmodel import fit_pmm2
+from pmmest.tscore import ModelOrder, ar_design_matrix
+from pmmest.tspmm import fit_ts_pmm2
 
 # Exact central moments (m2, m4, m6) of symmetric reference laws.
 UNIFORM_M = (1.0 / 3.0, 1.0 / 5.0, 1.0 / 7.0)      # Uniform(-1, 1)
@@ -99,6 +105,23 @@ class TestCentralMoments:
             textbook, size = np.mean(d**k), np.mean(np.abs(d) ** k)
             assert abs(got - textbook) <= 1e-12 * size
             assert abs(got_moved - s**k * got) <= 1e-9 * s**k * size
+
+    def test_overflowing_moments_raise_a_pmm_error(self):
+        # finite m2 whose cube leaves the float range
+        with np.errstate(over="ignore"), pytest.raises(MomentOverflowError, match="overflow"):
+            central_moments(np.array([-1e110, 0.0, 0.0, 1e110]))
+
+    @pytest.mark.parametrize("fit", [
+        lambda x: fit_ts_pmm2(x, ModelOrder(p=1)),
+        lambda x: fit_pmm2(ar_design_matrix(x, 1)),
+    ], ids=["fit_ts_pmm2", "fit_pmm2"])
+    def test_diverging_pmm2_iteration_raises_a_pmm_error(self, fit):
+        # the fixed-point iteration diverges on these 7 values until the
+        # residual moments overflow; a replicate loop counts a PmmError as a
+        # failed replicate, where a bare OverflowError would abort the run
+        x = np.random.default_rng(23).standard_normal(8)[:7]
+        with pytest.warns(RuntimeWarning), pytest.raises(PmmError, match="overflow"):
+            fit(x)
 
     @settings(max_examples=100, deadline=None)
     @given(value=st.floats(-1e100, 1e100), n=st.integers(4, 500))
@@ -261,3 +284,22 @@ class TestPmm3Weights:
         b1, b3 = pmm3_weights(m2, m4, m6)
         implied = 1.0 / (b1 + 3.0 * m2 * b3)
         assert implied == pytest.approx(m2 * g3_coefficient(gamma4, gamma6), rel=1e-10)
+
+
+class TestScores:
+    @pytest.mark.parametrize("method, weights", [("PMM2", (-0.7,)), ("PMM3", (1.3, -0.2))])
+    def test_psi_and_dpsi_are_the_derivatives(self, method, weights):
+        # the exact Newton step of an ARI PMM2 fit rests on both
+        score, m2, h = _SCORES[method], 0.8, 1e-6
+        e = np.linspace(-3.0, 3.0, 13)
+
+        def q(v):
+            return np.array([score.objective(np.array([t]), weights, m2) for t in v])
+
+        def psi(v):
+            return score.psi(v, weights, m2)
+
+        np.testing.assert_allclose(psi(e), (q(e + h) - q(e - h)) / (2.0 * h),
+                                   rtol=1e-7, atol=1e-7)
+        np.testing.assert_allclose(score.dpsi(e, weights, m2),
+                                   (psi(e + h) - psi(e - h)) / (2.0 * h), rtol=1e-7, atol=1e-7)

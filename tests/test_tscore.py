@@ -62,6 +62,33 @@ class TestTsParams:
             assert v.dtype == np.float64 and v.ndim == 1
         assert params.theta.tolist() == [1.0, 2.0] and params.mean == 1.0
 
+    @settings(max_examples=100, deadline=None)
+    @given(sizes=st.tuples(*[st.integers(0, 3)] * 4), include_mean=st.booleans(),
+           data=st.data())
+    def test_from_vector_equals_constructor_bit_for_bit(self, sizes, include_mean, data):
+        p, q, P, Q = sizes
+        order = ModelOrder(p=p, q=q, P=P, Q=Q, s=4 if P or Q else 0,
+                           include_mean=include_mean)
+        values = data.draw(st.lists(st.sampled_from([0.0, -0.0, 0.5, -1e-300, 3e300])
+                                    | st.floats(allow_nan=False),
+                                    min_size=order.n_params, max_size=order.n_params))
+        vec = np.array(values, dtype=float)
+        fast = TsParams.from_vector(vec, order)
+        i = np.cumsum([0, p, q, P, Q])
+        ref = TsParams(vec[i[0]:i[1]], vec[i[1]:i[2]], vec[i[2]:i[3]], vec[i[3]:i[4]],
+                       vec[i[4]] if include_mean else 0.0)
+        for name in ("phi", "theta", "Phi", "Theta"):
+            a, b = getattr(fast, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert type(fast.mean) is type(ref.mean) is float
+        assert np.float64(fast.mean).tobytes() == np.float64(ref.mean).tobytes()
+
+    @pytest.mark.parametrize("vec", [np.zeros((2, 1)), np.zeros(3)])
+    def test_from_vector_rejects_a_wrong_shape(self, vec):
+        with pytest.raises(ValueError, match="expected a vector of 2 parameters"):
+            TsParams.from_vector(vec, ModelOrder(p=1, q=1, include_mean=False))
+
 
 class TestDifference:
     def test_first_difference(self):
