@@ -29,7 +29,7 @@ from .errors import (
     _require_finite,
 )
 from .linmodel import _REGRESSION_FITTERS, DesignProblem, information_criteria
-from .tscore import ModelOrder, fit_css
+from .tscore import ModelOrder, TsFit, _fit_series, fit_css
 from .tspmm import fit_ts_pmm2, fit_ts_pmm3
 
 __all__ = [
@@ -69,6 +69,16 @@ def fit_model(data, method: str, order: ModelOrder | None = None):
     if order is None:
         raise ValueError("time-series fits need a ModelOrder")
     return _TS_FITTERS[_method_name(method, False)](data, order)
+
+
+def _refit_from_css(css_fit: TsFit, method: str) -> TsFit:
+    """``fit_model(css_fit.original_series, method, css_fit.order)`` bit for
+    bit, with ``css_fit`` as its CSS stage instead of a new CSS fit ("css"
+    returns ``css_fit`` itself), so a series is fit by CSS once."""
+    key = _method_name(method, False)
+    if key == "CSS":
+        return css_fit
+    return _fit_series(key, css_fit.original_series, css_fit.order, css=css_fit)
 
 
 @dataclass(frozen=True)
@@ -181,4 +191,6 @@ def dispatch_fit(data, kind: str, config: DispatchConfig | None = None,
     decision = select_method(base.residuals, config)
     if decision.method == "OLS_CSS":
         return decision, base
+    if kind == "timeseries":
+        return decision, _refit_from_css(base, decision.method)
     return decision, fit_model(data, decision.method, order)

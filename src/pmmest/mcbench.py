@@ -26,7 +26,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .cumulants import CumulantProfile, g2_coefficient, g3_coefficient
-from .dispatch import fit_model
+from .dispatch import _refit_from_css, fit_model
 from .inference import _check_failures, _converged, _replicates
 from .linmodel import asymptotic_covariance, build_design
 from .tscore import (
@@ -280,9 +280,11 @@ def _simulate_spec(spec: McSpec, rng: np.random.Generator):
     return simulate_arima(spec.order, params, eps, spec.burnin)
 
 
-def _fit_method(spec: McSpec, method: str, data, z: float):
-    """Fit one method; return (estimates, covered-indicator vector)."""
-    fit = _converged(fit_model(data, method, spec.order))
+def _fit_method(spec: McSpec, method: str, data, z: float, css=None):
+    """Fit one method, from the replicate's CSS fit ``css`` when one is given;
+    return (estimates, covered-indicator vector)."""
+    fit = _converged(fit_model(data, method, spec.order) if css is None
+                     else _refit_from_css(css, method))
     if spec.model == "regression":
         cov = asymptotic_covariance(fit, data)
     else:
@@ -295,11 +297,19 @@ def _fit_method(spec: McSpec, method: str, data, z: float):
 
 def _replicate_chunk(args):
     """Payloads {method: (estimates, covered)} of one chunk of replicates, None
-    for a failed replicate: each simulates once and fits every method."""
+    for a failed replicate: each simulates once and fits every method.
+
+    With "css" requested, a series is fit by CSS first and every PMM fit
+    starts from that fit, so CSS runs once per replicate; a replicate is
+    dropped when any method fails, so the fitting order changes nothing."""
     spec, methods, level, seeds = args
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
-    return _replicates(seeds, lambda rng: _simulate_spec(spec, rng),
-                       lambda data: {m: _fit_method(spec, m, data, z) for m in methods})
+
+    def refit(data):
+        css = _converged(fit_model(data, "css", spec.order)) if "css" in methods else None
+        return {m: _fit_method(spec, m, data, z, css) for m in methods}
+
+    return _replicates(seeds, lambda rng: _simulate_spec(spec, rng), refit)
 
 
 def run_monte_carlo(specs, methods, n_sim: int, seed: int = 0,

@@ -17,7 +17,7 @@ residuals are a finite convolution and need numpy alone.
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -250,7 +250,8 @@ def _lag_factor(coefs: np.ndarray, step: int, ma: bool) -> np.ndarray:
     with [1.0] returns exactly these bits, signed zeros included, so a product
     skips that convolution without changing a bit.
     """
-    factor = np.zeros(1 + step * coefs.size)
+    # with step 1 every slot is written below
+    factor = (np.empty if step == 1 else np.zeros)(1 + step * coefs.size)
     factor[0] = 1.0
     if ma:
         np.add(coefs, 0.0, out=factor[step::step])
@@ -343,16 +344,23 @@ def ar_design_matrix(x, p: int, include_mean: bool = True) -> DesignProblem:
 def _central_difference(f, x) -> np.ndarray:
     """Central differences of ``f`` along each coordinate of ``x`` with step
     1e-6 * max(1, |x_i|), one column per coordinate in a C-ordered array:
-    the gradient of a scalar ``f``, the Jacobian of a vector one."""
+    the gradient of a scalar ``f``, the Jacobian of a vector one.
+
+    ``f`` sees one work vector, perturbed and restored in place, so it must
+    not keep its argument."""
     cols = []
+    xw = x.copy()
     for i in range(x.size):
-        h = 1e-6 * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        cols.append((f(xp) - f(xm)) / (2.0 * h))
-    return np.ascontiguousarray(np.array(cols).T)
+        xi = xw[i]
+        h = 1e-6 * max(1.0, abs(xi))
+        xw[i] = xi + h
+        fp = f(xw)
+        xw[i] = xi - h
+        fm = f(xw)
+        xw[i] = xi
+        cols.append((fp - fm) / (2.0 * h))
+    grad = np.array(cols)
+    return grad if grad.ndim == 1 else np.ascontiguousarray(grad.T)
 
 
 def minimize_qn(f, x0):
@@ -373,7 +381,8 @@ def minimize_qn(f, x0):
         return x, fx, True
     n = x.size
     g = _central_difference(f, x)
-    H = np.eye(n)
+    eye = np.eye(n)  # never written in place, so H may share it
+    H = eye
     converged = False
     for _ in range(500):
         gnorm = float(np.max(np.abs(g)))
@@ -384,7 +393,7 @@ def minimize_qn(f, x0):
             break
         d = -H @ g
         if not np.isfinite(d).all() or float(d @ g) >= 0.0:
-            H = np.eye(n)
+            H = eye
             d = -g
         dnorm = float(np.max(np.abs(d)))
         cap = 0.1 * max(1.0, float(np.max(np.abs(x))))
@@ -406,10 +415,11 @@ def minimize_qn(f, x0):
         s = xn - x
         yv = gn - g
         sy = float(s @ yv)
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
+        # norms and outer products written out: the same bits, less overhead
+        if sy > 1e-12 * math.sqrt(float(s @ s)) * math.sqrt(float(yv @ yv)):
             rho = 1.0 / sy
-            V = np.eye(n) - rho * np.outer(s, yv)
-            H = V @ H @ V.T + rho * np.outer(s, s)
+            V = eye - rho * (s[:, None] * yv)
+            H = V @ H @ V.T + rho * (s[:, None] * s)
         rel_drop = abs(fx - fn) / max(1.0, abs(fx))
         x, fx, g = xn, fn, gn
         if rel_drop < 1e-12:
@@ -438,9 +448,18 @@ def _min_series_length(order: ModelOrder, method: str) -> int:
 
 
 def _unit_region_warnings(params: TsParams, order: ModelOrder, warns: list[str]):
+    """Note an AR or MA polynomial 1 + sum c_l z^l with a root of modulus at most
+    1 + 1e-8.
+
+    If sum |c_l| (1 + 1e-8)^L < 1 - 1e-6 (L the degree, 0 for a constant) no
+    such root exists, and ``np.roots`` is skipped; written as
+    ``not bound < ...`` so that NaN coefficients still reach ``np.roots`` and
+    raise there.
+    """
     num, den = _filter_polynomials(params, order)
     for name, poly, region in (("AR", num, "non-stationary"), ("MA", den, "non-invertible")):
-        if poly.size > 1:
+        bound = float(np.abs(poly[1:]).sum()) * (1.0 + 1e-8) ** (poly.size - 1)
+        if not bound < 1.0 - 1e-6:
             roots = np.roots(poly[::-1])
             if roots.size and np.min(np.abs(roots)) <= 1.0 + 1e-8:
                 warns.append(f"{name} polynomial has a root on or inside the unit "
@@ -503,10 +522,15 @@ def _lag_design_fit(method, x, w, order) -> TsFit:
 def _capped(score, weights, m2: float, eps: np.ndarray, explosion_cap: float | None) -> float:
     """``score.objective`` of residuals ``eps``; +inf where they are non-finite
     or some e^2 exceeds ``explosion_cap``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(eps).all() or \
-                (explosion_cap is not None and (eps * eps).max() > explosion_cap):
+    if explosion_cap is None:
+        if not np.isfinite(eps).all():
             return math.inf
+    else:
+        # max e^2 is the square of max |e|; NaN and inf fail the test as well
+        a = float(np.abs(eps).max())
+        if not a * a <= explosion_cap:
+            return math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
         return score.objective(eps, weights, m2)
 
 
@@ -573,31 +597,35 @@ def _newton_ar(score, weights, m2: float, w: np.ndarray, phi0: np.ndarray,
     return phi, False
 
 
-def _two_stage(method: str, x: np.ndarray, w: np.ndarray, order: ModelOrder) -> TsFit:
+def _two_stage(method: str, x: np.ndarray, w: np.ndarray, order: ModelOrder,
+               css: TsFit | None = None) -> TsFit:
     """CSS fit, then the ``_SCORES[method]`` objective minimized from it with the
-    CSS residual moments frozen; unusable moments return the CSS fit.
+    CSS residual moments frozen; unusable moments return a copy of the CSS fit
+    with a note.
 
-    Pure nonseasonal AR orders without a mean (ARI(p,d,0) PMM2) are minimized
-    by ``_newton_ar``, any other order by ``minimize_qn``.
+    ``css`` is the CSS fit of the same ``x`` and ``order`` when the caller has
+    one; it is used in place of a new one and never modified.  Pure
+    nonseasonal AR orders without a mean (ARI(p,d,0) PMM2) are minimized by
+    ``_newton_ar``, any other order by ``minimize_qn``.
     """
     score = _SCORES[method]
-    base = fit_css(x, order)
+    base = fit_css(x, order) if css is None else css
     if not base.converged:
         raise FitFailureError(f"CSS stage did not converge; {method} stage aborted")
     warns = list(base.warnings)
     mom = base.moments
     if mom is None or mom.degenerate:
-        base.warnings.append("degenerate CSS residual moments; returning CSS fit")
-        return base
+        return replace(base, warnings=[*base.warnings,
+                                       "degenerate CSS residual moments; returning CSS fit"])
     if score.symmetric and abs(mom.gamma3) > 0.5:
         warns.append(f"CSS residual skewness {mom.gamma3:.3f} exceeds 0.5; "
                      f"{method} assumes symmetric errors")
     try:
         weights = score.weights(mom)
     except (DegenerateDistributionError, DegenerateMomentsError):
-        base.warnings.append(
-            f"CSS residual moments leave the {method} weights undefined; returning CSS fit")
-        return base
+        return replace(base, warnings=[
+            *base.warnings,
+            f"CSS residual moments leave the {method} weights undefined; returning CSS fit"])
     if score.symmetric and weights[0] < 0.0:
         warns.append(f"b1 < 0 (platykurtic residuals): {method} objective may be nonconvex")
     cap = 1e6 * mom.m2  # residuals past 1000 sd flag an exploding recursion
@@ -620,13 +648,14 @@ def _two_stage(method: str, x: np.ndarray, w: np.ndarray, order: ModelOrder) -> 
     return TsFit(method, order, params, residuals, x, mom, g, fun, converged, warns)
 
 
-def _fit_series(method: str, x, order: ModelOrder) -> TsFit:
+def _fit_series(method: str, x, order: ModelOrder, css: TsFit | None = None) -> TsFit:
     """Fit ``order`` to ``x`` by "CSS", "PMM2" or "PMM3": the one time-series route.
 
     A pure nonseasonal AR order after differencing is the lag-design regression
     of the same method (OLS for CSS).  Any other CSS order is minimized by
     quasi-Newton from a zero start (sample mean for the mean term); any other
-    PMM order is the two-stage fit from CSS.
+    PMM order is the two-stage fit from CSS, which starts from ``css`` (the
+    CSS fit of the same ``x`` and ``order``) when it is given.
     """
     x = np.asarray(x, dtype=float)
     _require_finite("series", x)
@@ -638,7 +667,7 @@ def _fit_series(method: str, x, order: ModelOrder) -> TsFit:
     if _lag_design_route(method, order):
         return _lag_design_fit(method, x, w, order)
     if method != "CSS":
-        return _two_stage(method, x, w, order)
+        return _two_stage(method, x, w, order, css)
     start = TsParams.zeros(order)
     if order.include_mean:
         start.mean = float(np.mean(w))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import vector_with_cumulants
-from pmmest import cli, dispatch, inference, mcbench
+from pmmest import cli, dispatch, inference, mcbench, tscore
 from pmmest.dispatch import (
     DispatchConfig,
     dispatch_fit,
@@ -148,6 +148,28 @@ def gamma_arma_series(n=300, seed=11):
     order = ModelOrder(p=1, q=1)
     eps = sample_innovations(InnovationSpec("gamma"), n + 100, rng)
     return simulate_arima(order, TsParams([0.6], [0.3], [], [], 0.5), eps, 100)
+
+
+def uniform_arma_series(n=300, seed=11):
+    rng = np.random.default_rng(seed)
+    order = ModelOrder(p=1, q=1)
+    eps = rng.uniform(-1.0, 1.0, n + 100)
+    return simulate_arima(order, TsParams([0.6], [0.3], [], [], 0.5), eps, 100)
+
+
+@pytest.mark.parametrize("series, method", [(gamma_arma_series, "PMM2"),
+                                            (uniform_arma_series, "PMM3")])
+def test_dispatch_fit_reuses_its_css_fit(series, method, monkeypatch):
+    x, order = series(), ModelOrder(p=1, q=1)
+    expected = fit_model(x, method, order)
+    second_css = []
+    monkeypatch.setattr(tscore, "fit_css", lambda *a: second_css.append(a))
+    decision, fit = dispatch_fit(x, "timeseries", order=order)
+    assert decision.method == method
+    assert second_css == []  # the PMM stage started from the baseline fit
+    assert fit.method == method
+    assert fit.coefficients.tobytes() == expected.coefficients.tobytes()
+    assert (fit.objective, fit.warnings) == (expected.objective, expected.warnings)
 
 
 class TestFitModel:

@@ -243,8 +243,12 @@ def _unit_region_reference(params, order):
     return warns
 
 
-_OFFSETS = st.sampled_from([-1e-3, -1e-6, -2e-8, -1e-8, -1e-12, 0.0,
-                              1e-12, 1e-8, 2e-8, 1e-6, 1e-3, 0.3])
+# -1e-6 -+ 1e-9 and -1.01e-6 -+ 1e-9 put sum |c_l| on either side of the margin
+# 1 - 1e-6 of _unit_region_warnings' bound (the latter for degree 1, where
+# the bound carries a factor 1 + 1e-8)
+_OFFSETS = st.sampled_from([-1e-3, -1.01e-6 - 1e-9, -1.01e-6 + 1e-9, -1e-6 - 1e-9, -1e-6,
+                            -1e-6 + 1e-9, -2e-8, -1e-8, -1e-12, 0.0,
+                            1e-12, 1e-8, 2e-8, 1e-6, 1e-3, 0.3])
 
 
 def _lag_coefficients(rng, degree, how, eps):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import pmmest.tscore as tscore
 from pmmest.cumulants import _SCORES, pmm2_weight
+from pmmest.errors import DegenerateMomentsError
 from pmmest.mcbench import InnovationSpec, sample_innovations
 from pmmest.tscore import (
     ModelOrder,
@@ -301,6 +304,66 @@ class TestWarningsOncePerFit:
         assert fit.warnings == [
             "AR polynomial has a root on or inside the unit circle (non-stationary region)",
             "MA polynomial has a root on or inside the unit circle (non-invertible region)"]
+
+
+def gamma_arma11(n=150, seed=4):
+    order = ModelOrder(p=1, q=1)
+    eps = sample_innovations(InnovationSpec("gamma"), n + 50, np.random.default_rng(seed))
+    return simulate_arima(order, params_for(order, [0.5], [0.3], mean=1.0), eps, 50), order
+
+
+class TestSharedCssStage:
+    """A PMM fit may start from the caller's CSS fit of the same series; it
+    gives the fit made without one and never returns or changes that fit."""
+
+    @pytest.mark.parametrize("method, fitter", [("PMM2", fit_ts_pmm2), ("PMM3", fit_ts_pmm3)])
+    def test_same_fit_as_without(self, method, fitter):
+        x, order = gamma_arma11()
+        css = fit_css(x, order)
+        before = list(css.warnings)
+        fit = tscore._fit_series(method, x, order, css=css)
+        alone = fitter(x, order)
+        assert fit.method == method
+        assert fit.coefficients.tobytes() == alone.coefficients.tobytes()
+        assert fit.residuals.tobytes() == alone.residuals.tobytes()
+        assert (fit.objective, fit.converged, fit.warnings) == \
+            (alone.objective, alone.converged, alone.warnings)
+        assert css.warnings == before
+
+    @pytest.mark.parametrize("method, fitter", [("PMM2", fit_ts_pmm2), ("PMM3", fit_ts_pmm3)])
+    def test_undefined_weights_return_a_noted_copy(self, method, fitter, monkeypatch):
+        def undefined(mom):
+            raise DegenerateMomentsError("weights undefined")
+
+        monkeypatch.setitem(_SCORES, method,
+                            dataclasses.replace(_SCORES[method], weights=undefined))
+        x, order = gamma_arma11()
+        css = fit_css(x, order)
+        before = list(css.warnings)
+        fit = tscore._fit_series(method, x, order, css=css)
+        assert fit is not css
+        assert css.warnings == before
+        note = f"CSS residual moments leave the {method} weights undefined; returning CSS fit"
+        assert fit.warnings == before + [note]
+        assert fit.method == "CSS"
+        assert fit.coefficients.tobytes() == css.coefficients.tobytes()
+        assert fit.residuals.tobytes() == css.residuals.tobytes()
+        assert (fit.objective, fit.converged, fit.moments, fit.g_coefficient) == \
+            (css.objective, css.converged, css.moments, css.g_coefficient)
+        alone = fitter(x, order)
+        assert alone.warnings == fit.warnings
+        assert alone.coefficients.tobytes() == fit.coefficients.tobytes()
+
+    def test_degenerate_moments_return_a_noted_copy(self):
+        x, order = gamma_arma11()
+        css = dataclasses.replace(fit_css(x, order), moments=None)
+        before = list(css.warnings)
+        fit = tscore._fit_series("PMM2", x, order, css=css)
+        assert fit is not css
+        assert css.warnings == before
+        assert fit.warnings == before + ["degenerate CSS residual moments; returning CSS fit"]
+        assert fit.coefficients.tobytes() == css.coefficients.tobytes()
+        assert fit.moments is None and fit.method == "CSS"
 
 
 class TestForecast:
