@@ -175,14 +175,14 @@ def block_bootstrap_ts(x, order: ModelOrder, method: str = "PMM2", B: int = 500,
     if block_length is None:
         block_length = default_block_length(n)
     _check_b(B, level)
-    method = _method_name(method, regression=False)
-    base = fit_model(x, method, order)
-    resid = np.asarray(base.residuals, dtype=float)
-    n_w = resid.size
     if block_length < 2:
         raise ValueError(f"block_length must be >= 2, got {block_length}")
     if n / block_length < 5:
         raise ValueError(f"need n / block_length >= 5, got {n / block_length:.2f}")
+    method = _method_name(method, regression=False)
+    base = fit_model(x, method, order)
+    resid = np.asarray(base.residuals, dtype=float)
+    n_w = resid.size
     blocks = [resid[i:i + block_length] for i in range(0, n_w, block_length)]
     ar, ma = _filter_polynomials(base.params, order)
     head = x[:order.d + order.D * order.s]

@@ -10,12 +10,16 @@ Conventions (documented because sign conventions vary between packages):
 * CSS residuals use the strict conditional convention: presample values of
   both the differenced series and the residuals are zero.
 
-``scipy.signal`` is imported only by ``_lfilter``, for the IIR recursions of
-models with MA or seasonal-MA terms, simulation and block bootstraps; pure-AR
-residuals are a finite convolution and need numpy alone.
+``_lfilter`` is the one linear filter behind the residual recursion, simulation
+and block bootstraps.  A length-1 denominator (pure-AR residuals, pure-MA
+simulation) is a finite convolution in numpy alone.  A longer one (MA or
+seasonal-MA residuals, AR simulation) runs scipy's compiled IIR routine, loaded
+on first use without importing the ``scipy.signal`` package.
 """
 
+import functools
 import math
+import sys
 import warnings as _warnings
 from dataclasses import dataclass, field, replace
 
@@ -295,10 +299,37 @@ def _filter_polynomials(params: TsParams, order: ModelOrder) -> tuple[np.ndarray
             _lag_product(params.theta, params.Theta, order.s, True))
 
 
+@functools.cache
+def _linear_filter():
+    """``scipy.signal._sigtools._linear_filter``, the compiled routine behind
+    ``lfilter``.  The extension is loaded from the installed scipy directly,
+    skipping the ``scipy.signal`` package ``__init__`` and the subpackages it
+    imports (stats, interpolate, optimize, ...); it is registered under its own
+    name, so a later ``import scipy.signal`` reuses the same module."""
+    name = "scipy.signal._sigtools"
+    module = sys.modules.get(name)
+    if module is None:
+        import importlib.util
+        import os
+        from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+
+        import scipy
+        spec = FileFinder(os.path.join(scipy.__path__[0], "signal"),
+                          (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module._linear_filter
+
+
 def _lfilter(num, den, x) -> np.ndarray:
-    """``scipy.signal.lfilter(num, den, x)``, with scipy imported on first use."""
-    from scipy.signal import lfilter
-    return lfilter(num, den, x)
+    """``scipy.signal.lfilter(num, den, x)`` for 1-D float arrays with den[0] == 1,
+    bit for bit.  A length-1 denominator is the finite convolution ``lfilter``
+    itself computes for it; a longer one goes to the compiled routine
+    ``lfilter`` dispatches to."""
+    if den.size == 1:
+        return np.convolve(num, x)[:x.size]
+    return _linear_filter()(num, den, x, -1)
 
 
 def css_residuals(w, params: TsParams, order: ModelOrder) -> np.ndarray:
@@ -307,16 +338,11 @@ def css_residuals(w, params: TsParams, order: ModelOrder) -> np.ndarray:
     With a = expand_polynomial(phi, Phi, s) and b = ma_expand_polynomial(theta,
     Theta, s), computes e_t = (w_t - mean) - sum_j a_j (w_{t-j} - mean)
     - sum_k b_k e_{t-k}, with presample w and e terms treated as zero.
-
-    Without MA terms the recursion is a finite convolution, computed exactly
-    as ``lfilter`` computes a length-1 denominator, so it is bit-identical.
+    Without MA terms the recursion is a finite convolution (numpy alone).
     """
     params.check_order(order)
     z = np.asarray(w, dtype=float) - params.mean
-    num, den = _filter_polynomials(params, order)
-    if den.size == 1:
-        return np.convolve(num, z)[:z.size]
-    return _lfilter(num, den, z)
+    return _lfilter(*_filter_polynomials(params, order), z)
 
 
 def ar_design_matrix(x, p: int, include_mean: bool = True) -> DesignProblem:

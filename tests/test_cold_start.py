@@ -1,9 +1,10 @@
-"""Cold start without scipy, and the pure-AR residual path it rests on.
+"""Cold start without scipy, and the one linear filter it rests on.
 
-Pure-AR CSS residuals are a finite convolution computed with numpy alone;
-``scipy.signal`` loads only for the IIR recursions of MA terms, simulation
-and bootstraps.  This file needs numpy, pytest and hypothesis only: the
-comparisons against ``scipy.signal.lfilter`` skip when scipy is missing.
+Pure-AR CSS residuals and pure-MA simulation are finite convolutions computed
+with numpy alone.  The IIR recursions (MA residuals, AR simulation, block
+bootstraps) run scipy's compiled filter, loaded without the ``scipy.signal``
+package.  This file needs numpy, pytest and hypothesis only: the comparisons
+against ``scipy.signal.lfilter`` skip when scipy is missing.
 """
 
 import csv
@@ -12,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,9 @@ from pmmest.tscore import (
     _filter_polynomials,
     css_residuals,
     expand_polynomial,
+    integrate_forecast,
     ma_expand_polynomial,
+    simulate_arima,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,11 +46,15 @@ print(json.dumps({"codes": codes, "scipy": sorted(
 """
 
 
-def _probe(commands):
+def _run(script, *args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(commands)],
+    proc = subprocess.run([sys.executable, "-c", script, *args],
                           capture_output=True, text=True, env=env, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _probe(commands):
+    return _run(_PROBE, json.dumps(commands))
 
 
 def _write_csv(path, header, rows):
@@ -80,20 +88,62 @@ def test_ar_regression_and_dispatch_commands_stay_scipy_free(tmp_path):
         ["fit", "--input", regression, "--column", "y", "--design", "x",
          "--method", "auto"] + out("regression"),
         ["dispatch", "--input", residuals, "--column", "e"] + out("dispatch"),
+        ["simulate", "--order", "0,0,2", "--ma", "0.4,0.2", "--n", "200",
+         "--output", str(tmp_path / "ma.csv")],
     ]
     result = _probe(commands)
     assert result["codes"] == [0] * len(commands)
     assert result["scipy"] == []
     for name in ("ar1", "ar2", "ari", "regression", "dispatch"):
         assert json.loads((tmp_path / f"{name}.json").read_text())
+    assert len((tmp_path / "ma.csv").read_text().splitlines()) == 201
 
 
-@pytest.mark.skipif(importlib.util.find_spec("scipy") is None, reason="scipy not installed")
-def test_ma_fit_loads_scipy_signal(tmp_path):
-    result = _probe([["fit", "--input", BUNDLED, "--column", "y", "--method", "pmm2",
-                      "--order", "1,0,1", "--output", str(tmp_path / "arma.json")]])
-    assert result["codes"] == [0]
-    assert "scipy.signal" in result["scipy"]
+needs_scipy = pytest.mark.skipif(importlib.util.find_spec("scipy") is None,
+                                 reason="scipy not installed")
+
+
+@needs_scipy
+def test_arma_commands_load_the_compiled_filter_not_scipy_signal(tmp_path):
+    result = _probe([
+        ["fit", "--input", BUNDLED, "--column", "y", "--method", "pmm2",
+         "--order", "1,0,1", "--output", str(tmp_path / "arma.json")],
+        ["bootstrap", "--input", BUNDLED, "--column", "y", "--method", "pmm2",
+         "--order", "1,0,1", "--B", "50", "--output", str(tmp_path / "boot.json")],
+        ["mc", "--model", "ma", "--order", "0,0,1", "--theta", "0.4,0.0",
+         "--innovations", "gamma", "--n", "80", "--n-sim", "50",
+         "--output", str(tmp_path / "mc.csv")],
+    ])
+    assert result["codes"] == [0, 0, 0]
+    assert "scipy.signal._sigtools" in result["scipy"]
+    assert "scipy.signal" not in result["scipy"]
+
+
+# Imports scipy.signal before or after the first MA fit, then compares the
+# module objects, the compiled routine and lfilter against the fit's filter.
+_SIGNAL_PROBE = """
+import json, sys
+import numpy as np
+from pmmest.tscore import ModelOrder, _lfilter, _linear_filter, fit_css
+x = np.random.default_rng(5).standard_normal(200)
+if sys.argv[1] == "before":
+    import scipy.signal
+fit_css(x, ModelOrder(q=1))
+import scipy.signal
+from scipy.signal import _signaltools
+num, den = np.array([1.0, -0.5]), np.array([1.0, 0.3, -0.2])
+print(json.dumps({
+    "one_module": _signaltools._sigtools is sys.modules["scipy.signal._sigtools"]
+                  and _linear_filter() is _signaltools._sigtools._linear_filter,
+    "same_bits": scipy.signal.lfilter(num, den, x).tobytes() == _lfilter(num, den, x).tobytes(),
+}))
+"""
+
+
+@needs_scipy
+@pytest.mark.parametrize("when", ["before", "after"])
+def test_scipy_signal_imports_around_the_first_ma_fit(when):
+    assert _run(_SIGNAL_PROBE, when) == {"one_module": True, "same_bits": True}
 
 
 @pytest.fixture(scope="module")
@@ -150,3 +200,26 @@ def test_iir_residuals_equal_lfilter_of_expanded_polynomials(lfilter, order, n, 
     assert css_residuals(w, params, order).tobytes() == expected.tobytes()
     num, den = _filter_polynomials(params, order)
     assert ((-num[1:]).tobytes(), den[1:].tobytes()) == (a.tobytes(), b.tobytes())
+
+
+_sim_orders = st.builds(
+    lambda base, d, D: replace(base, d=d, D=D if base.s else 0),
+    st.one_of(_ar_orders, _iir_orders), st.integers(0, 2), st.integers(0, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(order=_sim_orders, n=st.integers(1, 400), scale_exp=st.integers(-8, 8),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_simulation_equals_lfilter_bit_for_bit(lfilter, order, n, scale_exp, seed, data):
+    rng = np.random.default_rng(seed)
+    eps = rng.standard_normal(n) * 10.0**scale_exp
+    params = TsParams(*(rng.uniform(-0.95, 0.95, k) for k in (order.p, order.q, order.P, order.Q)),
+                      rng.standard_normal() * 10.0**scale_exp)
+    burnin = data.draw(st.integers(0, n - 1))
+    num, den = _filter_polynomials(params, order)
+    z = lfilter(den, num, eps)[burnin:]
+    if order.include_mean:
+        z = z + params.mean
+    expected = integrate_forecast(np.zeros(order.d + order.D * order.s), z,
+                                  order.d, order.D, order.s)
+    assert simulate_arima(order, params, eps, burnin).tobytes() == expected.tobytes()

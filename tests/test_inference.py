@@ -149,6 +149,17 @@ def test_bad_level_rejected_before_any_fit(monkeypatch, run, level):
     assert calls == []
 
 
+@pytest.mark.parametrize("block_length, message", [
+    (1, r"block_length must be >= 2"), (30, r"need n / block_length >= 5")])
+def test_bad_block_length_rejected_before_any_fit(monkeypatch, block_length, message):
+    calls = []
+    monkeypatch.setattr(inference, "fit_model", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match=message):
+        block_bootstrap_ts(gamma_ar1(n=100), ModelOrder(p=1), "CSS", B=60,
+                           block_length=block_length)
+    assert calls == []
+
+
 class TestResidualBootstrap:
     def test_schema_and_sanity(self):
         result = residual_bootstrap(gamma_problem(), method="PMM2", B=200, seed=1)

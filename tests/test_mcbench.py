@@ -191,7 +191,7 @@ class TestRunMonteCarlo:
         assert s1.rows == s4.rows
 
     def test_ma_parallel_equivalence(self):
-        # pool workers filter MA series through the lazily imported lfilter
+        # pool workers filter MA series through the lazily loaded compiled filter
         spec = McSpec(model="ma", theta=(0.4, 0.0), innovations=InnovationSpec("gamma"),
                       n=80, label="ma1", order=ModelOrder(q=1))
         _, s1 = run_monte_carlo([spec], ("css", "pmm2"), 50, seed=8, n_jobs=1)
