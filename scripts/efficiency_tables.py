@@ -10,6 +10,7 @@ Usage:
 """
 
 import argparse
+from dataclasses import replace
 from pathlib import Path
 
 from pmmest.mcbench import InnovationSpec, McSpec, run_monte_carlo
@@ -27,21 +28,16 @@ REGRESSION_ERRORS = [
 ARIMA_ERRORS = REGRESSION_ERRORS[:4]
 
 
-def run_table(model, errors, sizes, n_sim, seed, jobs):
-    specs = []
-    for name, innov in errors:
-        for n in sizes:
-            label = f"{name}_n{n}"
-            if model == "regression":
-                specs.append(McSpec(model="regression", theta=(1.0, 2.5),
-                                    innovations=innov, n=n, label=label))
-            else:
-                specs.append(McSpec(model="arima", theta=(0.7,), innovations=innov,
-                                    n=n, label=label,
-                                    order=ModelOrder(p=1, d=1, q=0)))
-    baseline = "ols" if model == "regression" else "css"
-    leading = "x1" if model == "regression" else "ar1"
-    _, summary = run_monte_carlo(specs, (baseline, "pmm2"), n_sim, seed=seed,
+REGRESSION = McSpec("regression", (1.0, 2.5), InnovationSpec("gaussian"), 50)
+ARIMA = McSpec("arima", (0.7,), InnovationSpec("gaussian"), 100,
+               order=ModelOrder(p=1, d=1, q=0))
+
+
+def run_table(template, leading, errors, sizes, n_sim, seed, jobs):
+    """ghat2 of parameter ``leading`` per error law and size, on ``template``'s model."""
+    specs = [replace(template, innovations=innov, n=n, label=f"{name}_n{n}")
+             for name, innov in errors for n in sizes]
+    _, summary = run_monte_carlo(specs, ("ols", "pmm2"), n_sim, seed=seed,
                                  n_jobs=jobs)
     lines = ["distribution," + ",".join(f"n={n}" for n in sizes) + ",g2_theory"]
     for name, innov in errors:
@@ -67,13 +63,13 @@ def main():
     ts_sim = 500 if args.full else 300
 
     print(f"regression table ({reg_sim} replications) ...", flush=True)
-    table = run_table("regression", REGRESSION_ERRORS, [50, 100, 200, 500],
+    table = run_table(REGRESSION, "x1", REGRESSION_ERRORS, [50, 100, 200, 500],
                       reg_sim, args.seed, args.jobs)
     (outdir / "regression_efficiency.csv").write_text(table)
     print(table)
 
     print(f"ARIMA(1,1,0) table ({ts_sim} replications) ...", flush=True)
-    table = run_table("arima", ARIMA_ERRORS, [100, 200, 500],
+    table = run_table(ARIMA, "ar1", ARIMA_ERRORS, [100, 200, 500],
                       ts_sim, args.seed, args.jobs)
     (outdir / "arima_efficiency.csv").write_text(table)
     print(table)

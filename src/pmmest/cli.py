@@ -18,11 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .dispatch import DispatchConfig, dispatch_fit, fit_model, render_decision, select_method
+from .dispatch import METHODS, DispatchConfig, dispatch_fit, fit_model, render_decision, select_method
 from .errors import DataError, InputTooShortError, PmmError
 from .inference import block_bootstrap_ts, residual_bootstrap
 from .linmodel import build_design, information_criteria
-from .mcbench import _FAMILIES, InnovationSpec, McSpec, advantage_grid, run_monte_carlo, sample_innovations
+from .mcbench import _FAMILIES, MODELS, InnovationSpec, McSpec, advantage_grid, run_monte_carlo, sample_innovations
 from .tscore import ModelOrder, TsFit, TsParams, simulate_arima
 from .tspmm import forecast
 
@@ -309,16 +309,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    if args.model == "regression":
-        spec = McSpec(model="regression", theta=args.theta, innovations=args.innovations,
-                      n=args.n, label=args.label or "regression")
-    else:
-        order = _build_order(args)
-        if order is None:
-            raise ValueError("time-series mc runs need --order")
-        spec = McSpec(model=args.model, theta=args.theta, innovations=args.innovations,
-                      n=args.n, label=args.label or args.model, order=order,
-                      burnin=args.burnin)
+    spec = McSpec(model=args.model, theta=args.theta, innovations=args.innovations,
+                  n=args.n, label=args.label or args.model, order=_build_order(args),
+                  burnin=args.burnin)
     _, summary = run_monte_carlo([spec], args.methods, args.n_sim,
                                  seed=args.seed, n_jobs=args.jobs)
     summary.to_csv(args.output)
@@ -326,10 +319,11 @@ def cmd_mc(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    order = _build_order(args) or ModelOrder(p=1, d=1, q=0)
+    order = _build_order(args)
+    if order is None and args.model != "regression":
+        order = ModelOrder(p=1, d=1, q=0)
     template = McSpec(model=args.model, theta=args.theta, label="grid",
-                      innovations=InnovationSpec("gaussian"), n=100,
-                      order=order if args.model != "regression" else None,
+                      innovations=InnovationSpec("gaussian"), n=100, order=order,
                       burnin=args.burnin)
     result = advantage_grid(args.grid_gamma3, args.grid_n, args.B,
                             model=template, seed=args.seed, n_jobs=args.jobs)
@@ -373,8 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("fit", help="fit a model (CSV in, JSON report out)")
     _add_common_io(p)
-    p.add_argument("--method", default="auto",
-                   choices=["ols", "css", "pmm2", "pmm3", "auto"])
+    p.add_argument("--method", default="auto", choices=[*METHODS, "auto"])
     _add_order_flags(p)
     _add_dispatch_thresholds(p)
     p.add_argument("--horizon", type=int, default=0, help="forecast horizon (time series)")
@@ -390,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("bootstrap", help="bootstrap standard errors and intervals")
     _add_common_io(p)
-    p.add_argument("--method", default="pmm2", choices=["ols", "css", "pmm2", "pmm3"])
+    p.add_argument("--method", default="pmm2", choices=METHODS)
     _add_order_flags(p)
     p.add_argument("--B", type=int, default=500)
     p.add_argument("--block-length", type=int, default=None)
@@ -420,8 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_simulate)
 
     p = subs.add_parser("mc", help="Monte Carlo method comparison to CSV")
-    p.add_argument("--model", default="arima",
-                   choices=["regression", "ar", "ma", "arma", "arima"])
+    p.add_argument("--model", default="arima", choices=MODELS)
     _add_order_flags(p)
     p.add_argument("--theta", type=_list_of(float), required=True,
                    help="true parameter vector (matching the fitted one)")
@@ -440,8 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-gamma3", type=_list_of(float), required=True)
     p.add_argument("--grid-n", type=_list_of(int), required=True)
     p.add_argument("--B", type=int, required=True, help="replications per cell")
-    p.add_argument("--model", default="arima",
-                   choices=["regression", "ar", "ma", "arma", "arima"])
+    p.add_argument("--model", default="arima", choices=MODELS)
     _add_order_flags(p)
     p.add_argument("--theta", type=_list_of(float), default=(0.7,))
     p.add_argument("--burnin", type=int, default=100)

@@ -80,17 +80,11 @@ class CumulantProfile:
     g3: float | None
 
 
-def central_moments(x, m2_ddof: int = 1) -> MomentSet:
-    """Compute the sample MomentSet of a vector.
+def central_moments(x) -> MomentSet:
+    """Compute the sample MomentSet of a vector (length >= 4).
 
-    Parameters
-    ----------
-    x : array_like
-        Data vector, length >= 4.
-    m2_ddof : int
-        Denominator offset for the variance (1 gives the unbiased n-1
-        denominator, 0 the plug-in n denominator).  Higher moments always use
-        denominator n.
+    The variance m2 has the unbiased n - 1 denominator; the higher moments
+    have denominator n.
 
     Raises MomentOverflowError when the standardized cumulants overflow the
     float range, as for the residuals of a diverging iteration.
@@ -106,7 +100,7 @@ def central_moments(x, m2_ddof: int = 1) -> MomentSet:
     # Products and BLAS dots, not d**k: numpy sends integer powers above 2
     # through libm pow, about ten times the cost of a multiplication.
     d2 = d * d
-    m2 = float(d2.sum() / (n - m2_ddof))
+    m2 = float(d2.sum() / (n - 1))
     # The mean of a constant vector can round away from its value, which leaves
     # m2 at rounding level (m2 / mean^2 near 1e-30) instead of 0; constancy is
     # checked exactly below 1e-20.

@@ -33,6 +33,7 @@ from .tscore import ModelOrder, TsFit, _fit_series, fit_css
 from .tspmm import fit_ts_pmm2, fit_ts_pmm3
 
 __all__ = [
+    "METHODS",
     "DispatchConfig",
     "DispatchDecision",
     "select_method",
@@ -46,15 +47,18 @@ __all__ = [
 _TS_FITTERS = {"CSS": fit_css, "PMM2": fit_ts_pmm2, "PMM3": fit_ts_pmm3}
 
 
+METHODS = ("ols", "css", "pmm2", "pmm3")  # "ols" and "css" both name the baseline
+
+
 def _method_name(method: str, regression: bool) -> str:
-    """Canonical table key: case-insensitive, "ols" and "css" both name the baseline."""
-    table = _REGRESSION_FITTERS if regression else _TS_FITTERS
-    key = method.upper()
-    if key in ("OLS", "CSS"):
-        key = "OLS" if regression else "CSS"
-    if key not in table:
-        raise ValueError(f"method must be one of {sorted(table)}, got {method!r}")
-    return key
+    """Fitter-table key of ``method`` (a METHODS name, any case): the baseline
+    is "OLS" for regression and "CSS" for a series."""
+    key = method.lower()
+    if key not in METHODS:
+        raise ValueError(f"method must be one of {list(METHODS)}, got {method!r}")
+    if key in ("ols", "css"):
+        return "OLS" if regression else "CSS"
+    return key.upper()
 
 
 def fit_model(data, method: str, order: ModelOrder | None = None):

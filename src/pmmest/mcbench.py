@@ -26,7 +26,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .cumulants import CumulantProfile, g2_coefficient, g3_coefficient
-from .dispatch import _refit_from_css, fit_model
+from .dispatch import _method_name, _refit_from_css, fit_model
 from .inference import _check_failures, _converged, _replicates
 from .linmodel import asymptotic_covariance, build_design
 from .tscore import (
@@ -169,14 +169,16 @@ def sample_innovations(spec: InnovationSpec, n: int, rng: np.random.Generator) -
 # Monte Carlo comparison engine
 # ---------------------------------------------------------------------------
 
-_TS_MODELS = ("ar", "ma", "arma", "arima")
+MODELS = ("regression", "ar", "ma", "arma", "arima")
 
 
 @dataclass(frozen=True)
 class McSpec:
-    """One simulation scenario: model class, true parameters, innovation law."""
+    """One simulation scenario: true parameters, innovation law, and the
+    ModelOrder of a series (None for a regression).  ``model`` (one of MODELS)
+    only prefixes the default label."""
 
-    model: str  # "ar" | "ma" | "arma" | "arima" | "regression"
+    model: str
     theta: tuple
     innovations: InnovationSpec
     n: int
@@ -185,20 +187,20 @@ class McSpec:
     burnin: int = 100
 
     def __post_init__(self):
-        if self.model not in _TS_MODELS + ("regression",):
+        if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
         if not self.label:
             object.__setattr__(self, "label", f"{self.model}_{self.innovations.family}")
-        if self.model in _TS_MODELS:
-            if self.order is None:
-                raise ValueError("time-series specs require an explicit ModelOrder")
-            if len(self.theta) != self.order.n_params:
-                raise ValueError(
-                    f"theta has {len(self.theta)} entries but the order needs "
-                    f"{self.order.n_params}")
-        elif len(self.theta) < 1:
-            raise ValueError("regression theta needs at least an intercept")
+        if (self.model == "regression") != (self.order is None):
+            need = "requires a" if self.order is None else "takes no"
+            raise ValueError(f"model {self.model!r} {need} ModelOrder")
+        if self.order is None:
+            if len(self.theta) < 1:
+                raise ValueError("regression theta needs at least an intercept")
+        elif len(self.theta) != self.order.n_params:
+            raise ValueError(f"theta has {len(self.theta)} entries but the order needs "
+                             f"{self.order.n_params}")
 
 
 @dataclass(frozen=True)
@@ -240,35 +242,29 @@ class McSummary:
                     "" if r.theory_g is None else repr(r.theory_g)])
 
 
-def _normalize_methods(methods, is_ts: bool) -> list[str]:
-    out = []
+def _normalize_methods(methods, regression: bool) -> list[str]:
+    """Canonical lower-case names of ``methods``, deduplicated in order; either
+    baseline name means the baseline of the spec's kind."""
+    names = []
     for m in methods:
-        m = m.lower()
-        if m == "ml":
+        if m.lower() == "ml":
             _warnings.warn("method 'ml' maps to CSS (exact-likelihood ARIMA is "
                            "not implemented)", UserWarning, stacklevel=3)
             m = "css"
-        if is_ts and m == "ols":
-            raise ValueError("use 'css' as the baseline for time-series specs")
-        if not is_ts and m == "css":
-            raise ValueError("use 'ols' as the baseline for regression specs")
-        if m not in ("ols", "css", "pmm2", "pmm3"):
-            raise ValueError(f"unknown method {m!r}")
-        if m not in out:
-            out.append(m)
-    if not out:
+        names.append(_method_name(m, regression).lower())
+    if not names:
         raise ValueError("no methods requested")
-    return out
+    return list(dict.fromkeys(names))
 
 
 def _spec_param_names(spec: McSpec) -> list[str]:
-    if spec.model == "regression":
+    if spec.order is None:
         return ["intercept"] + [f"x{j}" for j in range(1, len(spec.theta))]
     return param_names(spec.order)
 
 
 def _simulate_spec(spec: McSpec, rng: np.random.Generator):
-    if spec.model == "regression":
+    if spec.order is None:
         eps = sample_innovations(spec.innovations, spec.n, rng)
         k = len(spec.theta)
         cols = [rng.standard_normal(spec.n) for _ in range(k - 1)]
@@ -285,7 +281,7 @@ def _fit_method(spec: McSpec, method: str, data, z: float, css=None):
     return (estimates, covered-indicator vector)."""
     fit = _converged(fit_model(data, method, spec.order) if css is None
                      else _refit_from_css(css, method))
-    if spec.model == "regression":
+    if spec.order is None:
         cov = asymptotic_covariance(fit, data)
     else:
         cov = ts_asymptotic_covariance(fit)
@@ -316,10 +312,13 @@ def run_monte_carlo(specs, methods, n_sim: int, seed: int = 0,
                     level: float = 0.95, n_jobs: int = 1):
     """Simulate and fit every spec x method; return (results, McSummary).
 
-    ``results`` maps (label, method) to an (n_sim, k) estimate matrix with
-    NaN rows for dropped replicates.  A replicate is dropped for all methods
-    when any requested method fails on it, keeping the MSE comparisons
-    matched; a spec errors out when more than 10% of replicates drop.
+    ``methods`` are METHODS names; "ols" and "css" both mean the baseline of
+    each spec's kind, so one call may mix regression and series specs.
+    ``results`` maps (label, canonical method) to an (n_sim, k) estimate
+    matrix with NaN rows for dropped replicates.  A replicate is dropped for
+    all methods when any requested method fails on it, keeping the MSE
+    comparisons matched; a spec errors out when more than 10% of replicates
+    drop.
     """
     specs = list(specs)
     if n_sim < 50:
@@ -333,8 +332,8 @@ def run_monte_carlo(specs, methods, n_sim: int, seed: int = 0,
     rows: list[McSummaryRow] = []
     n_failed: dict[str, int] = {}
     for si, spec in enumerate(specs):
-        is_ts = spec.model in _TS_MODELS
-        spec_methods = _normalize_methods(methods, is_ts)
+        regression = spec.order is None
+        spec_methods = _normalize_methods(methods, regression)
         rep_seeds = spec_streams[si].spawn(n_sim)
         if n_jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
@@ -361,7 +360,7 @@ def run_monte_carlo(specs, methods, n_sim: int, seed: int = 0,
         n_failed[spec.label] = failed
         keep = ~np.isnan(est[spec_methods[0]][:, 0])
         theta = np.asarray(spec.theta)
-        baseline = "css" if is_ts else "ols"
+        baseline = _method_name("ols", regression).lower()
         profile = innovation_theory(spec.innovations)
         mses = {}
         for m in spec_methods:
@@ -435,12 +434,11 @@ def advantage_grid(gamma3_grid, n_grid, B: int, model: McSpec | None = None,
                        innovations=InnovationSpec("gaussian"), n=200,
                        order=ModelOrder(p=1, d=1, q=0))
     names = _spec_param_names(model)
-    leading = names[1] if model.model == "regression" and len(names) > 1 else names[0]
-    baseline = "ols" if model.model == "regression" else "css"
+    leading = names[1] if model.order is None and len(names) > 1 else names[0]
     specs = [replace(model, innovations=skew_innovations(g), n=n,
                      label=f"gamma{g:g}_n{n}")
              for g in gamma3_grid for n in n_grid]
-    _, summary = run_monte_carlo(specs, (baseline, "pmm2"), B, seed=seed,
+    _, summary = run_monte_carlo(specs, ("ols", "pmm2"), B, seed=seed,
                                  n_jobs=n_jobs)
     values = np.empty((len(gamma3_grid), len(n_grid)))
     for i, g in enumerate(gamma3_grid):

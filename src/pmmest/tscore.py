@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cumulants import _SCORES, MomentSet, central_moments
+from .cumulants import _SCORES, MomentSet
 from .errors import (
     DegenerateDistributionError,
     DegenerateMomentsError,
@@ -33,7 +33,7 @@ from .errors import (
     InputTooShortError,
     _require_finite,
 )
-from .linmodel import _REGRESSION_FITTERS, DesignProblem, build_design
+from .linmodel import _REGRESSION_FITTERS, DesignProblem, _moments_or_none, build_design
 
 __all__ = [
     "ModelOrder",
@@ -514,7 +514,7 @@ def _finish_ts_fit(method, x, w, params, order, warns, converged) -> TsFit:
     ``_SCORES[method]`` clamp of the moments (1 for CSS)."""
     residuals = css_residuals(w, params, order)
     objective = float((residuals * residuals).sum())
-    moments = central_moments(residuals) if residuals.size >= 4 else None
+    moments = _moments_or_none(residuals)
     score = _SCORES.get(method)
     g = score.clamp(moments, warns) if score is not None else 1.0
     _unit_region_warnings(params, order, warns)

@@ -108,22 +108,17 @@ def forecast(fit: TsFit, horizon: int) -> np.ndarray:
     order = fit.order
     w = difference(fit.original_series, order.d, order.D, order.s)
     num, den = _filter_polynomials(fit.params, order)
-    a, b = -num[1:], den[1:]
-    z = list(w - fit.params.mean)
-    eps = list(np.asarray(fit.residuals, dtype=float))
-    wf = np.empty(horizon)
-    for h in range(horizon):
-        t = len(z)
-        val = 0.0
-        for j, aj in enumerate(a, start=1):
-            if t - j >= 0:
-                val += aj * z[t - j]
-        for k, bk in enumerate(b, start=1):
-            if t - k >= 0:
-                val += bk * eps[t - k]
-        z.append(val)
-        eps.append(0.0)
-        wf[h] = val + fit.params.mean
+    # Lag weights oldest first, so step t is a dot with the p (q) values
+    # before it; the p (q) leading zeros are the presample terms.
+    a, b = -num[:0:-1], den[:0:-1]
+    p, q, n = a.size, b.size, w.size
+    z = np.zeros(p + n + horizon)
+    z[p:p + n] = w - fit.params.mean
+    e = np.zeros(q + n + horizon)  # future innovations stay zero
+    e[q:q + n] = fit.residuals
+    for t in range(n, n + horizon):
+        z[p + t] = a @ z[t:p + t] + b @ e[t:q + t]
+    wf = z[p + n:] + fit.params.mean
     if order.d + order.D > 0:
         return integrate_forecast(fit.original_series, wf, order.d, order.D, order.s)
     return wf

@@ -80,7 +80,7 @@ def test_ar_regression_and_dispatch_commands_stay_scipy_free(tmp_path):
 
     commands = [
         ["fit", "--input", BUNDLED, "--column", "y", "--method", "auto",
-         "--order", "1,0,0"] + out("ar1"),
+         "--order", "1,0,0", "--horizon", "5"] + out("ar1"),
         ["fit", "--input", BUNDLED, "--column", "y", "--method", "pmm2",
          "--order", "2,0,0"] + out("ar2"),
         ["fit", "--input", series, "--column", "y", "--method", "pmm2",
@@ -96,6 +96,7 @@ def test_ar_regression_and_dispatch_commands_stay_scipy_free(tmp_path):
     assert result["scipy"] == []
     for name in ("ar1", "ar2", "ari", "regression", "dispatch"):
         assert json.loads((tmp_path / f"{name}.json").read_text())
+    assert len(json.loads((tmp_path / "ar1.json").read_text())["forecasts"]) == 5
     assert len((tmp_path / "ma.csv").read_text().splitlines()) == 201
 
 

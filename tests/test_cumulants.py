@@ -67,12 +67,6 @@ class TestCentralMoments:
         assert m.gamma4 == pytest.approx(-1.2, abs=0.05)
         assert m.gamma6 == pytest.approx(48.0 / 7.0, abs=0.3)
 
-    def test_m2_ddof_knob(self):
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        biased = central_moments(x, m2_ddof=0)
-        unbiased = central_moments(x, m2_ddof=1)
-        assert biased.m2 * 4 == pytest.approx(unbiased.m2 * 3)
-
     @settings(max_examples=50, deadline=None)
     @given(scale=st.floats(0.01, 100.0), seed=st.integers(0, 2**31))
     def test_scale_equivariance(self, scale, seed):

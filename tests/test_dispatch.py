@@ -8,6 +8,7 @@ import pytest
 from helpers import vector_with_cumulants
 from pmmest import cli, dispatch, inference, mcbench, tscore
 from pmmest.dispatch import (
+    METHODS,
     DispatchConfig,
     dispatch_fit,
     fit_model,
@@ -15,9 +16,9 @@ from pmmest.dispatch import (
     select_method,
 )
 from pmmest.errors import DataError, DegenerateInputError, InputTooShortError
-from pmmest.inference import block_bootstrap_ts
+from pmmest.inference import block_bootstrap_ts, residual_bootstrap
 from pmmest.linmodel import RegressionFit, build_design, fit_ols, fit_pmm2
-from pmmest.mcbench import InnovationSpec, McSpec, sample_innovations
+from pmmest.mcbench import InnovationSpec, McSpec, run_monte_carlo, sample_innovations
 from pmmest.tscore import ModelOrder, TsFit, TsParams, fit_css, simulate_arima
 from pmmest.tspmm import fit_ar_pmm2, fit_ts_pmm2, fit_ts_pmm3
 
@@ -191,6 +192,19 @@ class TestFitModel:
             fit = fit_model(series, name, order)
             assert fit.method == "CSS"
             assert np.array_equal(fit.coefficients, fit_css(series, order).coefficients)
+
+    @pytest.mark.parametrize("call", [
+        lambda m: fit_model(gamma_arma_series(), m, ModelOrder(p=1)),
+        lambda m: residual_bootstrap(build_design(np.arange(20.0) ** 2, [np.arange(20.0)]), m),
+        lambda m: block_bootstrap_ts(gamma_arma_series(), ModelOrder(p=1), m),
+        lambda m: run_monte_carlo(
+            [McSpec("ar", (0.5, 0.0), InnovationSpec("gaussian"), 80, order=ModelOrder(p=1))],
+            ("pmm2", m), 50),
+    ], ids=["fit_model", "residual_bootstrap", "block_bootstrap_ts", "run_monte_carlo"])
+    def test_unknown_method_message_is_shared(self, call):
+        with pytest.raises(ValueError) as exc:
+            call("Mle")
+        assert str(exc.value) == f"method must be one of {list(METHODS)}, got 'Mle'"
 
     def test_rejects_unknown_method_and_missing_order(self):
         with pytest.raises(ValueError, match="method must be one of"):

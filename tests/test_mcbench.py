@@ -232,11 +232,24 @@ class TestRunMonteCarlo:
         assert summary.n_failed == {"ar_q1": 0}
         assert {row.parameter for row in summary.rows} == {"ar1", "ma1", "mean"}
 
-    def test_baseline_mismatch_rejected(self):
-        spec = McSpec(model="ar", theta=(0.5, 0.0), innovations=InnovationSpec("gaussian"),
+    def test_either_baseline_name_gives_the_same_run(self):
+        spec = McSpec(model="ar", theta=(0.5, 0.0), innovations=InnovationSpec("gamma"),
                       n=80, label="a", order=ModelOrder(p=1))
-        with pytest.raises(ValueError):
-            run_monte_carlo([spec], ("ols",), 50, seed=0)
+        results, summary = run_monte_carlo([spec], ("OLS", "pmm2"), 50, seed=0)
+        expected_results, expected = run_monte_carlo([spec], ("css", "pmm2"), 50, seed=0)
+        assert summary.rows == expected.rows
+        assert {row.method for row in summary.rows} == {"css", "pmm2"}
+        assert results.keys() == expected_results.keys()
+        for key, est in results.items():
+            assert est.tobytes() == expected_results[key].tobytes()
+
+    def test_mixed_kind_specs_share_one_method_list(self):
+        ar = McSpec(model="ar", theta=(0.5, 0.0), innovations=InnovationSpec("gamma"),
+                    n=80, label="a", order=ModelOrder(p=1))
+        _, summary = run_monte_carlo([tiny_regression_spec(), ar], ("ols", "pmm2"), 50,
+                                     seed=0)
+        assert {(row.label, row.method) for row in summary.rows} == {
+            ("reg", "ols"), ("reg", "pmm2"), ("a", "css"), ("a", "pmm2")}
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -245,6 +258,9 @@ class TestRunMonteCarlo:
         with pytest.raises(ValueError):
             McSpec(model="ar", theta=(0.7, 0.1, 0.3), innovations=InnovationSpec("gaussian"),
                    n=100, order=ModelOrder(p=1))  # theta length mismatch
+        with pytest.raises(ValueError, match="takes no ModelOrder"):
+            McSpec("regression", (1.0, 2.0), InnovationSpec("gaussian"), 100,
+                   order=ModelOrder(p=1))
 
     def test_summary_csv_round_trip(self, tmp_path):
         _, summary = run_monte_carlo([tiny_regression_spec()], ("ols", "pmm2"), 60, seed=2)

@@ -406,3 +406,48 @@ class TestForecast:
         fit = fit_css(x, ModelOrder(p=1))
         with pytest.raises(ValueError):
             forecast(fit, 0)
+
+
+def forecast_by_lags(fit, horizon):
+    """Reference forecasts: the recursion written as a loop over every lag."""
+    order = fit.order
+    w = difference(fit.original_series, order.d, order.D, order.s)
+    num, den = tscore._filter_polynomials(fit.params, order)
+    a, b = -num[1:], den[1:]
+    z = list(w - fit.params.mean)
+    eps = list(fit.residuals)
+    wf = np.empty(horizon)
+    for h in range(horizon):
+        t = len(z)
+        val = 0.0
+        for j, aj in enumerate(a, start=1):
+            if t - j >= 0:
+                val += aj * z[t - j]
+        for k, bk in enumerate(b, start=1):
+            if t - k >= 0:
+                val += bk * eps[t - k]
+        z.append(val)
+        eps.append(0.0)
+        wf[h] = val + fit.params.mean
+    if order.d + order.D > 0:
+        return tscore.integrate_forecast(fit.original_series, wf, order.d, order.D, order.s)
+    return wf
+
+
+@pytest.mark.parametrize("order, coefs", [
+    (ModelOrder(q=2), dict(theta=[0.5, -0.3])),
+    (ModelOrder(p=2, q=2), dict(phi=[0.5, -0.2], theta=[0.4, 0.2])),
+    (ModelOrder(p=1, d=1, q=1), dict(phi=[0.5], theta=[0.3])),
+    (ModelOrder(p=1, q=1, P=1, D=1, Q=1, s=4),
+     dict(phi=[0.5], theta=[0.3], Phi=[0.4], Theta=[-0.3])),
+    (ModelOrder(), {}),
+], ids=["ma2", "arma22", "arima111", "sarima", "white-noise"])
+def test_forecast_matches_the_lag_loop(order, coefs):
+    eps = sample_innovations(InnovationSpec("gamma"), 300, np.random.default_rng(11))
+    x = simulate_arima(order, params_for(order, mean=1.0, **coefs), eps, burnin=100)
+    fit = fit_css(x, order)
+    span = max(len(fit.params.phi) + len(fit.params.Phi) * order.s,
+               len(fit.params.theta) + len(fit.params.Theta) * order.s)
+    for horizon in {1, max(span - 1, 1), span + 7}:
+        np.testing.assert_allclose(forecast(fit, horizon), forecast_by_lags(fit, horizon),
+                                   rtol=1e-12, atol=0.0)
