@@ -76,8 +76,8 @@ def _summarize(names, estimate, reps, B, scheme, fit_method, level, seed,
 
 
 def _check_b(B: int, level: float):
-    if B < 1:
-        raise ValueError("B must be positive")
+    if B < 2:
+        raise ValueError(f"B must be >= 2, got {B}")
     _check_level(level)
     if B < 50:
         _warnings.warn(f"B = {B} < 50 gives unstable percentile intervals",

@@ -10,7 +10,6 @@ coefficient-change rule.
 import math
 import warnings as _warnings
 from dataclasses import dataclass, field
-from statistics import NormalDist
 
 import numpy as np
 
@@ -227,6 +226,7 @@ def _check_level(level: float):
 def confidence_intervals(fit: RegressionFit, problem: DesignProblem,
                          level: float = 0.95) -> np.ndarray:
     """Normal-quantile intervals coefficient +- z * sqrt(diag covariance), shape (k, 2)."""
+    from statistics import NormalDist
     _check_level(level)
     cov = asymptotic_covariance(fit, problem)
     z = NormalDist().inv_cdf(0.5 + level / 2.0)

@@ -21,7 +21,6 @@ import math
 import warnings as _warnings
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from statistics import NormalDist
 
 import numpy as np
 
@@ -156,7 +155,7 @@ def innovation_theory(spec: InnovationSpec) -> CumulantProfile:
     return CumulantProfile(gamma3, gamma4, gamma6, g2, g3)
 
 
-def sample_innovations(spec: InnovationSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+def sample_innovations(spec: InnovationSpec, n: int, rng: "np.random.Generator") -> np.ndarray:
     """Draw n i.i.d. innovations, shifted to mean zero when standardized."""
     family, params = _resolve(spec)
     x = family.draw(rng, params, n)
@@ -263,7 +262,7 @@ def _spec_param_names(spec: McSpec) -> list[str]:
     return param_names(spec.order)
 
 
-def _simulate_spec(spec: McSpec, rng: np.random.Generator):
+def _simulate_spec(spec: McSpec, rng: "np.random.Generator"):
     if spec.order is None:
         eps = sample_innovations(spec.innovations, spec.n, rng)
         k = len(spec.theta)
@@ -298,6 +297,7 @@ def _replicate_chunk(args):
     With "css" requested, a series is fit by CSS first and every PMM fit
     starts from that fit, so CSS runs once per replicate; a replicate is
     dropped when any method fails, so the fitting order changes nothing."""
+    from statistics import NormalDist
     spec, methods, level, seeds = args
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
 

@@ -14,7 +14,7 @@ Conventions (documented because sign conventions vary between packages):
 and block bootstraps.  A length-1 denominator (pure-AR residuals, pure-MA
 simulation) is a finite convolution in numpy alone.  A longer one (MA or
 seasonal-MA residuals, AR simulation) runs scipy's compiled IIR routine, loaded
-on first use without importing the ``scipy.signal`` package.
+on first use without importing the ``scipy`` or ``scipy.signal`` package.
 """
 
 import functools
@@ -302,10 +302,12 @@ def _filter_polynomials(params: TsParams, order: ModelOrder) -> tuple[np.ndarray
 @functools.cache
 def _linear_filter():
     """``scipy.signal._sigtools._linear_filter``, the compiled routine behind
-    ``lfilter``.  The extension is loaded from the installed scipy directly,
-    skipping the ``scipy.signal`` package ``__init__`` and the subpackages it
-    imports (stats, interpolate, optimize, ...); it is registered under its own
-    name, so a later ``import scipy.signal`` reuses the same module."""
+    ``lfilter``.  The extension is loaded from the installed scipy directory
+    directly, importing neither the ``scipy`` package nor ``scipy.signal`` and
+    the subpackages it imports (stats, interpolate, optimize, ...); it is
+    registered under its own name, so a later ``import scipy.signal`` reuses
+    the same module.  Without scipy this raises ``ModuleNotFoundError`` with
+    ``name == "scipy"``, as ``import scipy`` would."""
     name = "scipy.signal._sigtools"
     module = sys.modules.get(name)
     if module is None:
@@ -313,8 +315,10 @@ def _linear_filter():
         import os
         from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
-        import scipy
-        spec = FileFinder(os.path.join(scipy.__path__[0], "signal"),
+        package = importlib.util.find_spec("scipy")
+        if package is None:
+            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+        spec = FileFinder(os.path.join(package.submodule_search_locations[0], "signal"),
                           (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
         module = importlib.util.module_from_spec(spec)
         sys.modules[name] = module

@@ -317,6 +317,8 @@ class TestExitCodes:
         ["bootstrap", "--input", "SAMPLE", "--column", "y", "--order", "1,0,0",
          "--B", "0"],
         ["bootstrap", "--input", "SAMPLE", "--column", "y", "--order", "1,0,0",
+         "--B", "1"],
+        ["bootstrap", "--input", "SAMPLE", "--column", "y", "--order", "1,0,0",
          "--B", "50", "--block-length", "1"],
         ["mc", "--model", "ar", "--order", "1,0,0", "--no-mean", "--theta", "0.5",
          "--innovations", "gamma", "--n", "50", "--n-sim", "10"],
@@ -327,7 +329,7 @@ class TestExitCodes:
         ["grid", "--grid-gamma3", "-1", "--grid-n", "50", "--B", "50"],
         ["fit", "--input", "SAMPLE", "--column", "y", "--method", "css",
          "--seasonal", "1,0,0,1"],
-    ], ids=["simulate-innovations", "bootstrap-B", "bootstrap-block-length",
+    ], ids=["simulate-innovations", "bootstrap-B", "bootstrap-B1", "bootstrap-block-length",
             "mc-n-sim", "mc-theta-length", "fit-horizon", "grid-gamma3", "seasonal-s"])
     def test_library_argument_error_is_usage_error(self, argv, tmp_path, capsys):
         sample = str(Path(__file__).parent.parent / "data" / "ar1_gamma_sample.csv")

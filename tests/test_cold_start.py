@@ -1,10 +1,11 @@
-"""Cold start without scipy, and the one linear filter it rests on.
+"""Cold start without scipy, numpy.random or statistics, and the one linear
+filter it rests on.
 
 Pure-AR CSS residuals and pure-MA simulation are finite convolutions computed
 with numpy alone.  The IIR recursions (MA residuals, AR simulation, block
-bootstraps) run scipy's compiled filter, loaded without the ``scipy.signal``
-package.  This file needs numpy, pytest and hypothesis only: the comparisons
-against ``scipy.signal.lfilter`` skip when scipy is missing.
+bootstraps) run scipy's compiled filter, loaded without the ``scipy`` or
+``scipy.signal`` package.  This file needs numpy, pytest and hypothesis only:
+the comparisons against ``scipy.signal.lfilter`` skip when scipy is missing.
 """
 
 import csv
@@ -36,13 +37,16 @@ ROOT = Path(__file__).resolve().parents[1]
 BUNDLED = str(ROOT / "data" / "ar1_gamma_sample.csv")
 
 # Runs CLI commands in a fresh interpreter and prints the exit codes and the
-# scipy modules loaded afterwards.
+# modules a fit or dispatch never needs that are loaded afterwards: every scipy
+# module, numpy.random (with hashing through secrets/hmac) and statistics (with
+# decimal).
 _PROBE = """
 import json, sys
 import pmmest, pmmest.cli
 codes = [pmmest.cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "scipy": sorted(
-    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+print(json.dumps({"codes": codes, "loaded": sorted(
+    m for m in sys.modules if m in ("numpy.random", "statistics", "decimal", "_hashlib")
+    or m == "scipy" or m.startswith("scipy."))}))
 """
 
 
@@ -66,6 +70,7 @@ def _write_csv(path, header, rows):
 
 
 def test_ar_regression_and_dispatch_commands_stay_scipy_free(tmp_path):
+    # these commands load numpy and pmmest alone: no scipy, numpy.random or statistics
     rng = np.random.default_rng(3)
     x = rng.standard_normal(120)
     y = 1.0 + 2.0 * x + rng.gamma(2.0, 1.0, 120) - 2.0
@@ -88,15 +93,20 @@ def test_ar_regression_and_dispatch_commands_stay_scipy_free(tmp_path):
         ["fit", "--input", regression, "--column", "y", "--design", "x",
          "--method", "auto"] + out("regression"),
         ["dispatch", "--input", residuals, "--column", "e"] + out("dispatch"),
-        ["simulate", "--order", "0,0,2", "--ma", "0.4,0.2", "--n", "200",
-         "--output", str(tmp_path / "ma.csv")],
     ]
     result = _probe(commands)
-    assert result["codes"] == [0] * len(commands)
-    assert result["scipy"] == []
+    assert result == {"codes": [0] * len(commands), "loaded": []}
     for name in ("ar1", "ar2", "ari", "regression", "dispatch"):
         assert json.loads((tmp_path / f"{name}.json").read_text())
     assert len(json.loads((tmp_path / "ar1.json").read_text())["forecasts"]) == 5
+
+
+def test_pure_ma_simulation_stays_scipy_free(tmp_path):
+    # simulate draws its innovations, so numpy.random may load; scipy may not
+    result = _probe([["simulate", "--order", "0,0,2", "--ma", "0.4,0.2", "--n", "200",
+                      "--output", str(tmp_path / "ma.csv")]])
+    assert result["codes"] == [0]
+    assert [m for m in result["loaded"] if m.startswith("scipy")] == []
     assert len((tmp_path / "ma.csv").read_text().splitlines()) == 201
 
 
@@ -106,18 +116,55 @@ needs_scipy = pytest.mark.skipif(importlib.util.find_spec("scipy") is None,
 
 @needs_scipy
 def test_arma_commands_load_the_compiled_filter_not_scipy_signal(tmp_path):
+    # a fit adds the one extension to numpy and pmmest; the resampling
+    # commands also draw random numbers, so they may load numpy.random
+    result = _probe([["fit", "--input", BUNDLED, "--column", "y", "--method", "pmm2",
+                      "--order", "1,0,1", "--output", str(tmp_path / "arma.json")]])
+    assert result == {"codes": [0], "loaded": ["scipy.signal._sigtools"]}
     result = _probe([
-        ["fit", "--input", BUNDLED, "--column", "y", "--method", "pmm2",
-         "--order", "1,0,1", "--output", str(tmp_path / "arma.json")],
         ["bootstrap", "--input", BUNDLED, "--column", "y", "--method", "pmm2",
          "--order", "1,0,1", "--B", "50", "--output", str(tmp_path / "boot.json")],
         ["mc", "--model", "ma", "--order", "0,0,1", "--theta", "0.4,0.0",
          "--innovations", "gamma", "--n", "80", "--n-sim", "50",
          "--output", str(tmp_path / "mc.csv")],
     ])
-    assert result["codes"] == [0, 0, 0]
-    assert "scipy.signal._sigtools" in result["scipy"]
-    assert "scipy.signal" not in result["scipy"]
+    assert result["codes"] == [0, 0]
+    assert [m for m in result["loaded"] if m.startswith("scipy")] == ["scipy.signal._sigtools"]
+
+
+# Hides scipy from the import system, as if it were not installed, then runs an
+# MA(1) CSS fit, which needs the compiled filter.
+_NO_SCIPY_PROBE = """
+import json, sys
+from importlib.machinery import PathFinder
+
+class HideScipy(PathFinder):
+    @classmethod
+    def find_spec(cls, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            return None
+        return super().find_spec(name, path, target)
+
+sys.meta_path[sys.meta_path.index(PathFinder)] = HideScipy
+import numpy as np
+from pmmest.tscore import ModelOrder, fit_css
+
+def outcome(call):
+    try:
+        call()
+    except Exception as exc:
+        return [type(exc).__name__, getattr(exc, "name", None)]
+    return "ok"
+
+x = np.random.default_rng(5).standard_normal(200)
+print(json.dumps({"import": outcome(lambda: __import__("scipy")),
+                  "fit": outcome(lambda: fit_css(x, ModelOrder(q=1)))}))
+"""
+
+
+def test_ma_fit_without_scipy_raises_module_not_found():
+    assert _run(_NO_SCIPY_PROBE) == {"import": ["ModuleNotFoundError", "scipy"],
+                                     "fit": ["ModuleNotFoundError", "scipy"]}
 
 
 # Imports scipy.signal before or after the first MA fit, then compares the

@@ -149,6 +149,20 @@ def test_bad_level_rejected_before_any_fit(monkeypatch, run, level):
     assert calls == []
 
 
+# B = 1 leaves one replicate, whose standard deviation is NaN
+@pytest.mark.parametrize("B", [0, 1])
+@pytest.mark.parametrize("run", [
+    lambda B: residual_bootstrap(gamma_problem(), "PMM2", B=B),
+    lambda B: block_bootstrap_ts(gamma_ar1(n=200), ModelOrder(p=1), "CSS", B=B),
+], ids=["residual", "block"])
+def test_fewer_than_two_replicates_rejected_before_any_fit(monkeypatch, run, B):
+    calls = []
+    monkeypatch.setattr(inference, "fit_model", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match=rf"B must be >= 2, got {B}"):
+        run(B)
+    assert calls == []
+
+
 @pytest.mark.parametrize("block_length, message", [
     (1, r"block_length must be >= 2"), (30, r"need n / block_length >= 5")])
 def test_bad_block_length_rejected_before_any_fit(monkeypatch, block_length, message):
