@@ -63,7 +63,6 @@ from .tscore import (
     ar_design_matrix,
     css_residuals,
     difference,
-    expand_polynomial,
     fit_css,
     integrate_forecast,
     simulate_arima,

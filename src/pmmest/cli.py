@@ -1,7 +1,8 @@
 """Command-line front end: fit, dispatch, bootstrap, simulate, mc, grid.
 
-Exit codes: 0 success, 2 malformed arguments (flags argparse rejects, and
-any ValueError the library raises for an argument), 3 data errors
+Exit codes: 0 success, 2 malformed arguments (flags argparse rejects, any
+ValueError the library raises for an argument, time-series flags given with
+--design, and a model needing scipy where it is not installed), 3 data errors
 (non-numeric, missing values, too-short series), 4 fit failures.  Reports
 are JSON (schema in docs/report_schema.json, version echoed in every
 report); tables and series are CSV with a header row.  All commands are deterministic under
@@ -21,9 +22,9 @@ import numpy as np
 from .dispatch import METHODS, DispatchConfig, dispatch_fit, fit_model, render_decision, select_method
 from .errors import DataError, InputTooShortError, PmmError
 from .inference import block_bootstrap_ts, residual_bootstrap
-from .linmodel import build_design, information_criteria
+from .linmodel import DesignProblem, build_design, information_criteria
 from .mcbench import _FAMILIES, MODELS, InnovationSpec, McSpec, advantage_grid, run_monte_carlo, sample_innovations
-from .tscore import ModelOrder, TsFit, TsParams, simulate_arima
+from .tscore import ModelOrder, TsParams, simulate_arima
 from .tspmm import forecast
 
 SCHEMA_VERSION = "1"
@@ -188,23 +189,46 @@ def _build_order(args) -> ModelOrder | None:
     return ModelOrder(p=p, d=d, q=q, P=P, D=D, Q=Q, s=s, include_mean=include_mean)
 
 
-def _fit_report_core(fit, kind: str, names=None):
-    if isinstance(fit, TsFit):
-        names = fit.param_names
-        coefs = fit.params.to_vector(fit.order)
-        order = asdict(fit.order)
-        n = fit.original_series.size
+# Time-series flags and their defaults; any other value is an error with --design.
+_SERIES_FLAGS = {"order": None, "seasonal": None, "no_mean": False, "horizon": 0,
+                 "block_length": None}
+
+
+def _read_data(args):
+    """The DesignProblem of ``--design``, or else the ``--column`` series;
+    time-series flags given with ``--design`` are rejected before any read."""
+    if not args.design:
+        return read_csv_columns(args.input, [args.column])[args.column]
+    given = [f"--{name.replace('_', '-')}" for name, default in _SERIES_FLAGS.items()
+             if getattr(args, name, default) != default]
+    if given:
+        raise ValueError(f"{', '.join(given)} cannot be used with --design: "
+                         "time-series flags apply to time-series fits only")
+    cols = read_csv_columns(args.input, [args.column, *args.design])
+    return build_design(cols[args.column], [cols[c] for c in args.design],
+                        include_intercept=True, column_names=list(args.design))
+
+
+def cmd_fit(args) -> int:
+    data = _read_data(args)
+    decision = None
+    if args.method == "auto":
+        decision, fit = dispatch_fit(data, config=_dispatch_config(args),
+                                     order=_build_order(args))
+        print(render_decision(decision))
     else:
-        names = names or [f"x{j + 1}" for j in range(fit.coefficients.size)]
-        coefs = fit.coefficients
-        order = None
-        n = fit.residuals.size
+        fit = fit_model(data, args.method, _build_order(args) or ModelOrder(p=1))
+    if isinstance(data, DesignProblem):
+        kind, n, names, order = "regression", data.n, data.column_names, None
+    else:
+        kind, n, names, order = "timeseries", data.size, fit.param_names, asdict(fit.order)
     loglik, aic, bic = information_criteria(fit)
-    return {
+    report = {
+        "schema_version": SCHEMA_VERSION, "command": "fit", "seed": args.seed,
         "kind": kind,
         "method": fit.method,
         "n": int(n),
-        "coefficients": dict(zip(names, [float(c) for c in coefs])),
+        "coefficients": dict(zip(names, [float(c) for c in fit.coefficients])),
         "g_coefficient": float(fit.g_coefficient),
         "residual_cumulants": None if fit.moments is None else asdict(fit.moments),
         "information_criteria": {"loglik": loglik, "aic": aic, "bic": bic},
@@ -212,33 +236,8 @@ def _fit_report_core(fit, kind: str, names=None):
         "warnings": list(fit.warnings),
         "order": order,
     }
-
-
-def cmd_fit(args) -> int:
-    kind = "regression" if args.design else "timeseries"
-    method = args.method.lower()
-    decision = None
-    if kind == "regression":
-        cols = read_csv_columns(args.input, [args.column, *args.design])
-        data = build_design(cols[args.column], [cols[c] for c in args.design],
-                            include_intercept=True, column_names=list(args.design))
-        if args.horizon:
-            raise ValueError("--horizon applies to time-series fits only")
-        order, names = None, list(data.column_names)
-    else:
-        data = read_csv_columns(args.input, [args.column])[args.column]
-        order, names = _build_order(args), None
-    if method == "auto":
-        decision, fit = dispatch_fit(data, kind, _dispatch_config(args), order=order)
-        print(render_decision(decision))
-    else:
-        fit = fit_model(data, method, order or ModelOrder(p=1))
-    report = _fit_report_core(fit, kind, names=names)
     if args.horizon:
         report["forecasts"] = [float(v) for v in forecast(fit, args.horizon)]
-    report["schema_version"] = SCHEMA_VERSION
-    report["command"] = "fit"
-    report["seed"] = args.seed
     if decision is not None:
         report["dispatch"] = asdict(decision)
     write_report(report, args.output)
@@ -260,20 +259,16 @@ def cmd_dispatch(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    if args.design:
-        cols = read_csv_columns(args.input, [args.column, *args.design])
-        problem = build_design(cols[args.column], [cols[c] for c in args.design],
-                               include_intercept=True, column_names=list(args.design))
-        result = residual_bootstrap(problem, method=args.method, B=args.B,
-                                    level=args.level, seed=args.seed)
-    elif args.order is not None or args.seasonal is not None:
-        x = read_csv_columns(args.input, [args.column])[args.column]
-        order = _build_order(args)
-        result = block_bootstrap_ts(x, order, method=args.method, B=args.B,
-                                    block_length=args.block_length,
+    if not args.design and args.order is None and args.seasonal is None:
+        raise ValueError("bootstrap needs either --design (regression) or --order (time series)")
+    data = _read_data(args)
+    if isinstance(data, DesignProblem):
+        result = residual_bootstrap(data, method=args.method, B=args.B,
                                     level=args.level, seed=args.seed)
     else:
-        raise ValueError("bootstrap needs either --design (regression) or --order (time series)")
+        result = block_bootstrap_ts(data, _build_order(args), method=args.method, B=args.B,
+                                    block_length=args.block_length,
+                                    level=args.level, seed=args.seed)
     rows = [{"parameter": name,
              "estimate": result.estimate[i], "std_error": result.std_error[i],
              "t_value": result.t_value[i], "p_value": result.p_value[i],
@@ -290,12 +285,7 @@ def cmd_bootstrap(args) -> int:
 
 def cmd_simulate(args) -> int:
     order = _build_order(args) or ModelOrder()
-    params = TsParams(
-        np.asarray(args.ar or (), dtype=float),
-        np.asarray(args.ma or (), dtype=float),
-        np.asarray(args.sar or (), dtype=float),
-        np.asarray(args.sma or (), dtype=float),
-        args.mean)
+    params = TsParams(args.ar or (), args.ma or (), args.sar or (), args.sma or (), args.mean)
     if args.innovations_file:
         eps = read_csv_columns(args.innovations_file, [args.column])[args.column]
     else:
@@ -461,6 +451,12 @@ def main(argv=None) -> int:
     except PmmError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return 4
+    except ModuleNotFoundError as exc:
+        if exc.name != "scipy":
+            raise
+        print("error: scipy is not installed; fitting MA or seasonal-MA terms and "
+              "simulating or resampling AR terms need it", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

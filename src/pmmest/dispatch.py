@@ -159,42 +159,39 @@ def render_decision(decision: DispatchDecision) -> str:
             f"  >>> {decision.rationale}")
 
 
-def _scan_ar_order(x, max_p: int = 5) -> ModelOrder:
-    """Pick the AR order (p <= max_p) minimizing the AIC of the CSS fit."""
+def _scan_ar_order(x, max_p: int = 5) -> TsFit:
+    """The CSS fit of the AR order (p <= max_p) minimizing its AIC."""
     best = None
     for p in range(max_p + 1):
-        order = ModelOrder(p=p)
         try:
-            fit = fit_css(x, order)
+            fit = fit_css(x, ModelOrder(p=p))
         except InputTooShortError:
             break
         _, aic, _ = information_criteria(fit)
         if best is None or aic < best[0]:
-            best = (aic, order)
+            best = (aic, fit)
     if best is None:
         raise InputTooShortError("series too short for any AR order scan")
     return best[1]
 
 
-def dispatch_fit(data, kind: str, config: DispatchConfig | None = None,
+def dispatch_fit(data, *, config: DispatchConfig | None = None,
                  order: ModelOrder | None = None):
     """Select a method from baseline residuals, then fit with it.
 
-    ``kind`` is "timeseries" (data is a series; baseline CSS of ``order``, by
-    default the AR order minimizing AIC over p <= 5) or "regression" (data is
-    a DesignProblem; baseline OLS).  Returns (decision, fit).
+    A DesignProblem is a regression (baseline OLS); anything else is a series
+    (baseline CSS of ``order``, by default the AR order minimizing AIC over
+    p <= 5).  Returns (decision, fit).
     """
     config = config or DispatchConfig()
-    if kind == "timeseries":
+    if isinstance(data, DesignProblem):
+        base = fit_model(data, "ols")
+    else:
         data = np.asarray(data, dtype=float)
-        if order is None:
-            order = _scan_ar_order(data)
-    elif kind != "regression":
-        raise ValueError(f"kind must be 'timeseries' or 'regression', got {kind!r}")
-    base = fit_model(data, "ols", order)
+        base = _scan_ar_order(data) if order is None else fit_css(data, order)
     decision = select_method(base.residuals, config)
     if decision.method == "OLS_CSS":
         return decision, base
-    if kind == "timeseries":
+    if isinstance(base, TsFit):
         return decision, _refit_from_css(base, decision.method)
-    return decision, fit_model(data, decision.method, order)
+    return decision, fit_model(data, decision.method)

@@ -57,24 +57,6 @@ class BootstrapResult:
     replicates: np.ndarray | None = None
 
 
-def _summarize(names, estimate, reps, B, scheme, fit_method, level, seed,
-               n_failed, block_length, keep_replicates) -> BootstrapResult:
-    reps = np.asarray(reps, dtype=float)
-    se = reps.std(axis=0, ddof=1)
-    alpha = (1.0 - level) / 2.0
-    lo = np.quantile(reps, alpha, axis=0)
-    hi = np.quantile(reps, 1.0 - alpha, axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(se > 0.0, estimate / se, math.nan)
-    p = np.array([math.erfc(abs(v) / math.sqrt(2.0)) for v in t])
-    return BootstrapResult(
-        parameters=list(names), estimate=np.asarray(estimate, dtype=float),
-        std_error=se, t_value=t, p_value=p, conf_low=lo, conf_high=hi,
-        B=B, scheme=scheme, fit_method=fit_method, level=level, seed=seed,
-        n_failed=n_failed, block_length=block_length,
-        replicates=reps if keep_replicates else None)
-
-
 def _check_b(B: int, level: float):
     if B < 2:
         raise ValueError(f"B must be >= 2, got {B}")
@@ -116,13 +98,28 @@ def _check_failures(n_failed: int, total: int, what: str):
         raise FitFailureError(f"{n_failed}/{total} {what} failed")
 
 
-def _replicate_estimates(B: int, seed: int, draw, refit) -> tuple[list, int]:
-    """Coefficient vectors of B resampled refits, and the failed count."""
+def _bootstrap(names, estimate, draw, refit, B: int, seed: int, level: float,
+               keep_replicates: bool, **info) -> BootstrapResult:
+    """Refit ``refit(draw(rng))`` for B replicates, drop failed ones by the
+    module's replicate rule and summarize the kept coefficient vectors around
+    ``estimate``; ``info`` holds the remaining BootstrapResult fields."""
     reps = [c for c in _replicates(np.random.SeedSequence(seed).spawn(B), draw,
                                    lambda data: _converged(refit(data)).coefficients)
             if c is not None]
-    _check_failures(B - len(reps), B, "bootstrap refits")
-    return reps, B - len(reps)
+    n_failed = B - len(reps)
+    _check_failures(n_failed, B, "bootstrap refits")
+    reps = np.asarray(reps, dtype=float)
+    se = reps.std(axis=0, ddof=1)
+    alpha = (1.0 - level) / 2.0
+    lo = np.quantile(reps, alpha, axis=0)
+    hi = np.quantile(reps, 1.0 - alpha, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(se > 0.0, estimate / se, math.nan)
+    p = np.array([math.erfc(abs(v) / math.sqrt(2.0)) for v in t])
+    return BootstrapResult(
+        parameters=list(names), estimate=np.asarray(estimate, dtype=float),
+        std_error=se, t_value=t, p_value=p, conf_low=lo, conf_high=hi, B=B, seed=seed,
+        level=level, n_failed=n_failed, replicates=reps if keep_replicates else None, **info)
 
 
 def residual_bootstrap(problem: DesignProblem, method: str = "PMM2", B: int = 500,
@@ -140,13 +137,12 @@ def residual_bootstrap(problem: DesignProblem, method: str = "PMM2", B: int = 50
     fitted = problem.X @ base.coefficients
     centered = base.residuals - base.residuals.mean()
     n = problem.n
-    reps, n_failed = _replicate_estimates(
-        B, seed, lambda rng: fitted + centered[rng.integers(0, n, size=n)],
+    return _bootstrap(
+        problem.column_names, base.coefficients,
+        lambda rng: fitted + centered[rng.integers(0, n, size=n)],
         lambda y_star: fit_model(DesignProblem(problem.X, y_star,
-                                               list(problem.column_names)), method))
-    return _summarize(problem.column_names, base.coefficients, reps, B,
-                      "residual", method, level, seed, n_failed, None,
-                      keep_replicates)
+                                               list(problem.column_names)), method),
+        B, seed, level, keep_replicates, scheme="residual", fit_method=method)
 
 
 def default_block_length(n: int) -> int:
@@ -198,8 +194,7 @@ def block_bootstrap_ts(x, order: ModelOrder, method: str = "PMM2", B: int = 500,
         return np.concatenate([head, integrate_forecast(
             head, w_star, order.d, order.D, order.s)])
 
-    reps, n_failed = _replicate_estimates(
-        B, seed, draw, lambda x_star: fit_model(x_star, method, order))
-    return _summarize(param_names(order), base.params.to_vector(order), reps, B,
-                      "block", method, level, seed, n_failed,
-                      block_length, keep_replicates)
+    return _bootstrap(param_names(order), base.params.to_vector(order), draw,
+                      lambda x_star: fit_model(x_star, method, order),
+                      B, seed, level, keep_replicates, scheme="block", fit_method=method,
+                      block_length=block_length)

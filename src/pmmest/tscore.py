@@ -42,8 +42,6 @@ __all__ = [
     "difference",
     "integrate_forecast",
     "ar_design_matrix",
-    "expand_polynomial",
-    "ma_expand_polynomial",
     "css_residuals",
     "fit_css",
     "simulate_arima",
@@ -98,18 +96,12 @@ class TsParams:
     mean: float = 0.0
 
     def __post_init__(self):
-        self.phi = np.atleast_1d(np.asarray(self.phi, dtype=float))
-        self.theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
-        self.Phi = np.atleast_1d(np.asarray(self.Phi, dtype=float))
-        self.Theta = np.atleast_1d(np.asarray(self.Theta, dtype=float))
+        for name in ("phi", "theta", "Phi", "Theta"):
+            value = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            if value.ndim > 1:
+                raise ValueError(f"{name} must be one-dimensional, got shape {value.shape}")
+            setattr(self, name, value)
         self.mean = float(self.mean)
-        # each ndim is at least 1, so a sum above 4 means a field with more;
-        # one test instead of four, as this runs once per residual evaluation
-        if self.phi.ndim + self.theta.ndim + self.Phi.ndim + self.Theta.ndim > 4:
-            name = next(n for n in ("phi", "theta", "Phi", "Theta")
-                        if getattr(self, n).ndim > 1)
-            raise ValueError(f"{name} must be one-dimensional, "
-                             f"got shape {getattr(self, name).shape}")
 
     @classmethod
     def zeros(cls, order: ModelOrder) -> "TsParams":
@@ -275,22 +267,6 @@ def _lag_product(c: np.ndarray, C: np.ndarray, s: int, ma: bool) -> np.ndarray:
     return prod
 
 
-def expand_polynomial(nonseasonal, seasonal=(), s: int = 0) -> np.ndarray:
-    """Lag coefficients of the product (1 - sum c_j B^j)(1 - sum C_k B^{sk}).
-
-    Input and output are in the positive-lag-weight convention: a returned
-    vector ``a`` means the polynomial ``1 - sum_l a_l B^l``.
-    """
-    return -_lag_product(np.atleast_1d(np.asarray(nonseasonal, dtype=float)),
-                         np.atleast_1d(np.asarray(seasonal, dtype=float)), s, False)[1:]
-
-
-def ma_expand_polynomial(theta, Theta=(), s: int = 0) -> np.ndarray:
-    """Lag coefficients b of (1 + sum theta B^k)(1 + sum Theta B^{sk}) = 1 + sum b B^l."""
-    return _lag_product(np.atleast_1d(np.asarray(theta, dtype=float)),
-                        np.atleast_1d(np.asarray(Theta, dtype=float)), s, True)[1:]
-
-
 def _filter_polynomials(params: TsParams, order: ModelOrder) -> tuple[np.ndarray, np.ndarray]:
     """Full AR and MA polynomials (num, den), leading 1 included: the residual
     recursion is ``lfilter(num, den, w - mean)`` and the ARMA simulation is
@@ -339,9 +315,10 @@ def _lfilter(num, den, x) -> np.ndarray:
 def css_residuals(w, params: TsParams, order: ModelOrder) -> np.ndarray:
     """Conditional-sum-of-squares residual recursion on the differenced series.
 
-    With a = expand_polynomial(phi, Phi, s) and b = ma_expand_polynomial(theta,
-    Theta, s), computes e_t = (w_t - mean) - sum_j a_j (w_{t-j} - mean)
-    - sum_k b_k e_{t-k}, with presample w and e terms treated as zero.
+    With 1 - sum a_j B^j = (1 - sum phi_j B^j)(1 - sum Phi_k B^{sk}) and
+    1 + sum b_k B^k = (1 + sum theta_k B^k)(1 + sum Theta_l B^{sl}), computes
+    e_t = (w_t - mean) - sum_j a_j (w_{t-j} - mean) - sum_k b_k e_{t-k}, with
+    presample w and e terms treated as zero.
     Without MA terms the recursion is a finite convolution (numpy alone).
     """
     params.check_order(order)

@@ -329,8 +329,20 @@ class TestExitCodes:
         ["grid", "--grid-gamma3", "-1", "--grid-n", "50", "--B", "50"],
         ["fit", "--input", "SAMPLE", "--column", "y", "--method", "css",
          "--seasonal", "1,0,0,1"],
+        # time-series flags with --design, rejected before the file is read
+        # (SAMPLE has no column x, which would be a data error)
+        ["fit", "--input", "SAMPLE", "--column", "y", "--design", "x", "--order", "0,0,1"],
+        ["fit", "--input", "SAMPLE", "--column", "y", "--design", "x",
+         "--seasonal", "1,0,0,4"],
+        ["fit", "--input", "SAMPLE", "--column", "y", "--design", "x", "--no-mean"],
+        ["bootstrap", "--input", "SAMPLE", "--column", "y", "--design", "x",
+         "--order", "1,0,0", "--block-length", "5"],
+        ["bootstrap", "--input", "SAMPLE", "--column", "y", "--design", "x",
+         "--block-length", "5"],
     ], ids=["simulate-innovations", "bootstrap-B", "bootstrap-B1", "bootstrap-block-length",
-            "mc-n-sim", "mc-theta-length", "fit-horizon", "grid-gamma3", "seasonal-s"])
+            "mc-n-sim", "mc-theta-length", "fit-horizon", "grid-gamma3", "seasonal-s",
+            "fit-design-order", "fit-design-seasonal", "fit-design-no-mean",
+            "bootstrap-design-order", "bootstrap-design-block-length"])
     def test_library_argument_error_is_usage_error(self, argv, tmp_path, capsys):
         sample = str(Path(__file__).parent.parent / "data" / "ar1_gamma_sample.csv")
         argv = [sample if a == "SAMPLE" else a for a in argv]

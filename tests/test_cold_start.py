@@ -26,10 +26,9 @@ from pmmest.tscore import (
     ModelOrder,
     TsParams,
     _filter_polynomials,
+    _lag_product,
     css_residuals,
-    expand_polynomial,
     integrate_forecast,
-    ma_expand_polynomial,
     simulate_arima,
 )
 
@@ -132,9 +131,8 @@ def test_arma_commands_load_the_compiled_filter_not_scipy_signal(tmp_path):
     assert [m for m in result["loaded"] if m.startswith("scipy")] == ["scipy.signal._sigtools"]
 
 
-# Hides scipy from the import system, as if it were not installed, then runs an
-# MA(1) CSS fit, which needs the compiled filter.
-_NO_SCIPY_PROBE = """
+# Hides scipy from the import system, as if it were not installed.
+_HIDE_SCIPY = """
 import json, sys
 from importlib.machinery import PathFinder
 
@@ -146,6 +144,10 @@ class HideScipy(PathFinder):
         return super().find_spec(name, path, target)
 
 sys.meta_path[sys.meta_path.index(PathFinder)] = HideScipy
+"""
+
+# Without scipy, an MA(1) CSS fit, which needs the compiled filter.
+_NO_SCIPY_PROBE = _HIDE_SCIPY + """
 import numpy as np
 from pmmest.tscore import ModelOrder, fit_css
 
@@ -165,6 +167,17 @@ print(json.dumps({"import": outcome(lambda: __import__("scipy")),
 def test_ma_fit_without_scipy_raises_module_not_found():
     assert _run(_NO_SCIPY_PROBE) == {"import": ["ModuleNotFoundError", "scipy"],
                                      "fit": ["ModuleNotFoundError", "scipy"]}
+
+
+def test_ma_fit_command_without_scipy_is_usage_error():
+    proc = subprocess.run(
+        [sys.executable, "-c", _HIDE_SCIPY + "from pmmest.cli import main\nsys.exit(main())",
+         "fit", "--input", BUNDLED, "--column", "y", "--method", "css", "--order", "0,0,1"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "scipy" in lines[0]
+    assert proc.stdout == ""
 
 
 # Imports scipy.signal before or after the first MA fit, then compares the
@@ -216,7 +229,7 @@ def test_pure_ar_residuals_equal_lfilter_bit_for_bit(lfilter, order, n, scale_ex
     params = TsParams(rng.uniform(-0.95, 0.95, order.p), np.empty(0),
                       rng.uniform(-0.95, 0.95, order.P), np.empty(0),
                       rng.standard_normal() * 10.0**scale_exp if order.include_mean else 0.0)
-    num = np.concatenate([[1.0], -expand_polynomial(params.phi, params.Phi, order.s)])
+    num = _lag_product(params.phi, params.Phi, order.s, False)
     expected = lfilter(num, [1.0], w - params.mean)
     assert css_residuals(w, params, order).tobytes() == expected.tobytes()
 
@@ -242,12 +255,12 @@ def test_iir_residuals_equal_lfilter_of_expanded_polynomials(lfilter, order, n, 
     params = TsParams(coefficients(order.p), coefficients(order.q),
                       coefficients(order.P), coefficients(order.Q),
                       rng.standard_normal() * 10.0**scale_exp if order.include_mean else 0.0)
-    a = expand_polynomial(params.phi, params.Phi, order.s)
-    b = ma_expand_polynomial(params.theta, params.Theta, order.s)
-    expected = lfilter(np.r_[1.0, -a], np.r_[1.0, b], w - params.mean)
+    a = _lag_product(params.phi, params.Phi, order.s, False)
+    b = _lag_product(params.theta, params.Theta, order.s, True)
+    expected = lfilter(a, b, w - params.mean)
     assert css_residuals(w, params, order).tobytes() == expected.tobytes()
     num, den = _filter_polynomials(params, order)
-    assert ((-num[1:]).tobytes(), den[1:].tobytes()) == (a.tobytes(), b.tobytes())
+    assert (num.tobytes(), den.tobytes()) == (a.tobytes(), b.tobytes())
 
 
 _sim_orders = st.builds(

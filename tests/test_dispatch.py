@@ -114,7 +114,7 @@ class TestDispatchFit:
         order = ModelOrder(p=1, include_mean=False)
         eps = sample_innovations(InnovationSpec("gamma"), 350, rng)
         x = simulate_arima(order, TsParams([0.7], [], [], [], 0.0), eps, 150)
-        decision, fit = dispatch_fit(x, "timeseries", order=ModelOrder(p=1))
+        decision, fit = dispatch_fit(x, order=ModelOrder(p=1))
         assert decision.method == "PMM2"
         assert isinstance(fit, TsFit)
         assert fit.method == "PMM2"
@@ -125,7 +125,7 @@ class TestDispatchFit:
         order = ModelOrder(p=1, include_mean=False)
         x = simulate_arima(order, TsParams([0.5], [], [], [], 0.0),
                            rng.standard_normal(400), 150)
-        decision, fit = dispatch_fit(x, "timeseries")
+        decision, fit = dispatch_fit(x)
         assert decision.method == "OLS_CSS"
         assert fit.method == "CSS"
         assert fit.order.p >= 1  # AR scan should pick up the dependence
@@ -134,14 +134,10 @@ class TestDispatchFit:
         rng = np.random.default_rng(7)
         x = rng.standard_normal(500)
         y = 1.0 + 2.0 * x + rng.uniform(-1.0, 1.0, 500)
-        decision, fit = dispatch_fit(build_design(y, [x]), "regression")
+        decision, fit = dispatch_fit(build_design(y, [x]))
         assert decision.method == "PMM3"
         assert isinstance(fit, RegressionFit)
         assert fit.method == "PMM3"
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            dispatch_fit(np.ones(20), "panel")
 
 
 def gamma_arma_series(n=300, seed=11):
@@ -165,12 +161,37 @@ def test_dispatch_fit_reuses_its_css_fit(series, method, monkeypatch):
     expected = fit_model(x, method, order)
     second_css = []
     monkeypatch.setattr(tscore, "fit_css", lambda *a: second_css.append(a))
-    decision, fit = dispatch_fit(x, "timeseries", order=order)
+    decision, fit = dispatch_fit(x, order=order)
     assert decision.method == method
     assert second_css == []  # the PMM stage started from the baseline fit
     assert fit.method == method
     assert fit.coefficients.tobytes() == expected.coefficients.tobytes()
     assert (fit.objective, fit.warnings) == (expected.objective, expected.warnings)
+
+
+
+def test_scanned_order_fit_is_the_baseline(monkeypatch):
+    rng = np.random.default_rng(0)
+    x = simulate_arima(ModelOrder(p=1, include_mean=False), TsParams([0.5], [], [], [], 0.0),
+                       rng.standard_normal(300), 100)
+    assert x.size == 200
+    css_fits = []
+
+    def counted(*args):
+        css_fits.append(args[1])
+        return fit_css(*args)
+
+    monkeypatch.setattr(dispatch, "fit_css", counted)
+    decision, fit = dispatch_fit(x)
+    assert decision.method == "OLS_CSS"
+    assert css_fits == [ModelOrder(p=p) for p in range(6)]  # the scan alone, no refit
+    expected = fit_css(x, fit.order)
+    assert fit.coefficients.tobytes() == expected.coefficients.tobytes()
+    assert fit.residuals.tobytes() == expected.residuals.tobytes()
+    assert (fit.order, fit.objective, fit.warnings) == \
+        (expected.order, expected.objective, expected.warnings)
+    with pytest.raises(TypeError):  # the data decides; no kind argument
+        dispatch_fit(x, "timeseries")
 
 
 class TestFitModel:

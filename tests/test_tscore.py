@@ -10,14 +10,13 @@ from pmmest.errors import InputTooShortError
 from pmmest.tscore import (
     ModelOrder,
     TsParams,
+    _lag_product,
     _unit_region_warnings,
     ar_design_matrix,
     css_residuals,
     difference,
-    expand_polynomial,
     fit_css,
     integrate_forecast,
-    ma_expand_polynomial,
     minimize_qn,
     simulate_arima,
 )
@@ -180,28 +179,31 @@ class TestArDesign:
 
 
 class TestExpandPolynomial:
+    """``_lag_product``: the full lag polynomial, leading 1 included."""
+
     def test_seasonal_cross_term(self):
-        out = expand_polynomial([0.5], [0.3], s=12)
-        assert out[0] == pytest.approx(0.5)
-        assert out[11] == pytest.approx(0.3)
-        assert out[12] == pytest.approx(-0.15)
-        assert np.count_nonzero(out) == 3
+        out = _lag_product(np.array([0.5]), np.array([0.3]), 12, False)
+        assert out[1] == pytest.approx(-0.5)
+        assert out[12] == pytest.approx(-0.3)
+        assert out[13] == pytest.approx(0.15)
+        assert np.count_nonzero(out[1:]) == 3
 
     def test_empty_seasonal_is_identity(self):
-        assert expand_polynomial([0.4, -0.1]).tolist() == [0.4, -0.1]
+        out = _lag_product(np.array([0.4, -0.1]), np.empty(0), 0, False)
+        assert out.tolist() == [1.0, -0.4, 0.1]
 
     def test_empty_both(self):
-        assert expand_polynomial([]).size == 0
+        assert _lag_product(np.empty(0), np.empty(0), 0, False).tolist() == [1.0]
 
     def test_degree_adds(self):
-        out = expand_polynomial([0.5, 0.2], [0.3, 0.1], s=4)
-        assert out.size == 2 + 4 * 2
+        out = _lag_product(np.array([0.5, 0.2]), np.array([0.3, 0.1]), 4, False)
+        assert out.size == 1 + 2 + 4 * 2
 
     def test_ma_expansion_sign(self):
-        out = ma_expand_polynomial([0.5], [0.3], s=4)
-        assert out[0] == pytest.approx(0.5)
-        assert out[3] == pytest.approx(0.3)
-        assert out[4] == pytest.approx(+0.15)
+        out = _lag_product(np.array([0.5]), np.array([0.3]), 4, True)
+        assert out[1] == pytest.approx(0.5)
+        assert out[4] == pytest.approx(0.3)
+        assert out[5] == pytest.approx(+0.15)
 
     @settings(max_examples=300, deadline=None)
     @given(p=st.integers(0, 4), P=st.integers(0, 2), s=st.sampled_from([0, 4, 12]),
@@ -212,9 +214,10 @@ class TestExpandPolynomial:
         pool = np.array([0.0, -0.0, 0.5, -0.25, 1e-300, -3.0])
         c = rng.choice(pool, p) * rng.uniform(0.5, 2.0, p)
         C = rng.choice(pool, P if s else 0)
-        assert expand_polynomial(c, C, s).tobytes() == _expand_reference(c, C, s).tobytes()
-        assert ma_expand_polynomial(c, C, s).tobytes() == \
-            (-_expand_reference(-c, -C, s)).tobytes()
+        ar, ma = _lag_product(c, C, s, False), _lag_product(c, C, s, True)
+        assert (ar[0], ma[0]) == (1.0, 1.0)
+        assert (-ar[1:]).tobytes() == _expand_reference(c, C, s).tobytes()
+        assert ma[1:].tobytes() == (-_expand_reference(-c, -C, s)).tobytes()
 
 
 def _expand_reference(c, C, s):
@@ -232,8 +235,8 @@ def _unit_region_reference(params, order):
     handed to np.roots as [c_L, ..., c_1, 1]."""
     warns = []
     for name, coefs, region in (
-            ("AR", -expand_polynomial(params.phi, params.Phi, order.s), "non-stationary"),
-            ("MA", ma_expand_polynomial(params.theta, params.Theta, order.s),
+            ("AR", _lag_product(params.phi, params.Phi, order.s, False)[1:], "non-stationary"),
+            ("MA", _lag_product(params.theta, params.Theta, order.s, True)[1:],
              "non-invertible")):
         if coefs.size:
             roots = np.roots(np.concatenate([coefs[::-1], [1.0]]))
