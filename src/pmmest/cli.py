@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 malformed arguments (flags argparse rejects, any
 ValueError the library raises for an argument, time-series flags given with
---design, and a model needing scipy where it is not installed), 3 data errors
+--design, a model needing scipy where it is not installed, and an output path
+that cannot be written), 3 data errors
 (non-numeric, missing values, too-short series), 4 fit failures.  Reports
 are JSON (schema in docs/report_schema.json, version echoed in every
 report); tables and series are CSV with a header row.  All commands are deterministic under
@@ -456,6 +457,10 @@ def main(argv=None) -> int:
             raise
         print("error: scipy is not installed; fitting MA or seasonal-MA terms and "
               "simulating or resampling AR terms need it", file=sys.stderr)
+        return 2
+    except OSError as exc:  # input files raise DataError, so this is the output
+        print(f"error: cannot write {args.output or 'stdout'}: {exc.strerror or exc}",
+              file=sys.stderr)
         return 2
 
 

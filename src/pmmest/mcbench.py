@@ -8,8 +8,7 @@ the symmetric families only, so g3 is reported only for those.
 The engine simulates ``n_sim`` data sets per specification, fits every
 requested method, and reports MSE / bias / variance / coverage plus the
 empirical efficiency gain MSE(method) / MSE(baseline) next to the
-theoretical g2 or g3.  The "ml" method name is accepted as an alias for
-"css" (exact-likelihood ARIMA is out of scope) with a warning.
+theoretical g2 or g3.
 
 Replicates, serial or in process-pool chunks, run through the bootstraps'
 loop ``inference._replicates`` and follow its drop rule; a replicate dropped
@@ -18,7 +17,6 @@ for one method is dropped for all.
 
 import csv
 import math
-import warnings as _warnings
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -244,13 +242,7 @@ class McSummary:
 def _normalize_methods(methods, regression: bool) -> list[str]:
     """Canonical lower-case names of ``methods``, deduplicated in order; either
     baseline name means the baseline of the spec's kind."""
-    names = []
-    for m in methods:
-        if m.lower() == "ml":
-            _warnings.warn("method 'ml' maps to CSS (exact-likelihood ARIMA is "
-                           "not implemented)", UserWarning, stacklevel=3)
-            m = "css"
-        names.append(_method_name(m, regression).lower())
+    names = [_method_name(m, regression).lower() for m in methods]
     if not names:
         raise ValueError("no methods requested")
     return list(dict.fromkeys(names))
@@ -344,30 +336,22 @@ def run_monte_carlo(specs, methods, n_sim: int, seed: int = 0,
                 payloads = [p for part in pool.map(_replicate_chunk, chunks) for p in part]
         else:
             payloads = _replicate_chunk((spec, spec_methods, level, rep_seeds))
-        names = _spec_param_names(spec)
-        k = len(names)
-        est = {m: np.full((n_sim, k), np.nan) for m in spec_methods}
-        cov = {m: np.full((n_sim, k), np.nan) for m in spec_methods}
-        failed = 0
-        for idx, payload in enumerate(payloads):
-            if payload is None:
-                failed += 1
-                continue
-            for m in spec_methods:
-                est[m][idx] = payload[m][0]
-                cov[m][idx] = payload[m][1]
+        keep = np.array([p is not None for p in payloads])
+        failed = n_sim - int(keep.sum())
         _check_failures(failed, n_sim, f"replicates of spec {spec.label!r}")
         n_failed[spec.label] = failed
-        keep = ~np.isnan(est[spec_methods[0]][:, 0])
+        names = _spec_param_names(spec)
+        est = {m: np.full((n_sim, len(names)), np.nan) for m in spec_methods}
+        cov = {m: np.full((n_sim, len(names)), np.nan) for m in spec_methods}
+        for idx in np.flatnonzero(keep):
+            for m in spec_methods:
+                est[m][idx], cov[m][idx] = payloads[idx][m]
         theta = np.asarray(spec.theta)
+        mses = {m: np.mean((est[m][keep] - theta) ** 2, axis=0) for m in spec_methods}
         baseline = _method_name("ols", regression).lower()
         profile = innovation_theory(spec.innovations)
-        mses = {}
         for m in spec_methods:
-            e = est[m][keep]
-            mses[m] = np.mean((e - theta) ** 2, axis=0)
             results[(spec.label, m)] = est[m]
-        for m in spec_methods:
             e = est[m][keep]
             bias = e.mean(axis=0) - theta
             variance = e.var(axis=0)
@@ -375,7 +359,7 @@ def run_monte_carlo(specs, methods, n_sim: int, seed: int = 0,
             if baseline in mses:
                 gain = mses[m] / mses[baseline]
             else:
-                gain = [None] * k
+                gain = [None] * len(names)
             theory = {"pmm2": profile.g2, "pmm3": profile.g3,
                       baseline: 1.0}.get(m)
             for j, name in enumerate(names):

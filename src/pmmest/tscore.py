@@ -526,29 +526,19 @@ def _lag_design_fit(method, x, w, order) -> TsFit:
     return _finish_ts_fit(method, x, w, params, order, warns, rfit.converged)
 
 
-def _capped(score, weights, m2: float, eps: np.ndarray, explosion_cap: float | None) -> float:
-    """``score.objective`` of residuals ``eps``; +inf where they are non-finite
-    or some e^2 exceeds ``explosion_cap``."""
-    if explosion_cap is None:
-        if not np.isfinite(eps).all():
-            return math.inf
-    else:
-        # max e^2 is the square of max |e|; NaN and inf fail the test as well
-        a = float(np.abs(eps).max())
-        if not a * a <= explosion_cap:
-            return math.inf
+def _capped(score, weights, m2: float, eps: np.ndarray) -> float:
+    """``score.objective`` of residuals ``eps``; +inf where some e^2 exceeds
+    1e6 * m2 (residuals past 1000 sd flag an exploding recursion)."""
+    # max e^2 is the square of max |e|; NaN and inf fail the test as well
+    a = float(np.abs(eps).max())
+    if not a * a <= 1e6 * m2:
+        return math.inf
     with np.errstate(over="ignore", invalid="ignore"):
         return score.objective(eps, weights, m2)
 
 
-def _capped_objective(score, weights, m2: float, w, params: TsParams, order: ModelOrder,
-                      explosion_cap: float | None) -> float:
-    """``_capped`` objective of the CSS residuals of ``params``."""
-    return _capped(score, weights, m2, css_residuals(w, params, order), explosion_cap)
-
-
-def _newton_ar(score, weights, m2: float, w: np.ndarray, phi0: np.ndarray,
-               explosion_cap: float) -> tuple[np.ndarray, bool]:
+def _newton_ar(score, weights, m2: float, w: np.ndarray,
+               phi0: np.ndarray) -> tuple[np.ndarray, bool]:
     """Minimize the frozen ``score`` objective over pure AR coefficients by Newton;
     returns (phi, converged).
 
@@ -556,8 +546,8 @@ def _newton_ar(score, weights, m2: float, w: np.ndarray, phi0: np.ndarray,
     e = w - Z phi, Z the lags of ``w`` with presample zeros, as in
     ``css_residuals``.  The gradient -Z'psi(e) and the Hessian
     Z' diag(psi'(e)) Z are therefore exact; where the Hessian is not positive
-    definite the step is the Z'Z (regression score) one.  Step cap, Armijo test
-    and explosion cap are those of ``minimize_qn`` and ``_two_stage``.
+    definite the step is the Z'Z (regression score) one.  Step cap and Armijo
+    test are those of ``minimize_qn``, the explosion cap that of ``_capped``.
 
     Stops when the step, or the Armijo backtracking, falls below 1e-12
     relative, and is converged only if the Newton decrement r'H^-1 r (r the
@@ -572,7 +562,7 @@ def _newton_ar(score, weights, m2: float, w: np.ndarray, phi0: np.ndarray,
         Z[j:, j - 1] = w[:m - j]
     phi = np.array(phi0, dtype=float)
     e = w - Z @ phi
-    f = _capped(score, weights, m2, e, explosion_cap)
+    f = _capped(score, weights, m2, e)
     if not math.isfinite(f):
         return phi, False
     for _ in range(500):
@@ -593,7 +583,7 @@ def _newton_ar(score, weights, m2: float, w: np.ndarray, phi0: np.ndarray,
         zd = Z @ d
         while alpha * dnorm > 1e-12 * size:
             en = e - alpha * zd
-            fn = _capped(score, weights, m2, en, explosion_cap)
+            fn = _capped(score, weights, m2, en)
             if math.isfinite(fn) and fn <= f - 1e-4 * alpha * decrement:
                 break
             alpha *= 0.5
@@ -635,21 +625,20 @@ def _two_stage(method: str, x: np.ndarray, w: np.ndarray, order: ModelOrder,
             f"CSS residual moments leave the {method} weights undefined; returning CSS fit"])
     if score.symmetric and weights[0] < 0.0:
         warns.append(f"b1 < 0 (platykurtic residuals): {method} objective may be nonconvex")
-    cap = 1e6 * mom.m2  # residuals past 1000 sd flag an exploding recursion
     if _is_pure_ar(order) and not order.include_mean:
-        phi, converged = _newton_ar(score, weights, mom.m2, w, base.params.phi, cap)
+        phi, converged = _newton_ar(score, weights, mom.m2, w, base.params.phi)
         params = TsParams.from_vector(phi, order)
     else:
         def objective(vec):
-            return _capped_objective(score, weights, mom.m2, w,
-                                     TsParams.from_vector(vec, order), order, cap)
+            return _capped(score, weights, mom.m2,
+                           css_residuals(w, TsParams.from_vector(vec, order), order))
 
         vec, _, converged = minimize_qn(objective, base.params.to_vector(order))
         params = TsParams.from_vector(vec, order)
     if not converged:
         warns.append(f"{method} optimizer did not converge")
     residuals = css_residuals(w, params, order)
-    fun = _capped(score, weights, mom.m2, residuals, cap)
+    fun = _capped(score, weights, mom.m2, residuals)
     g = score.clamp(mom, warns)
     _unit_region_warnings(params, order, warns)
     return TsFit(method, order, params, residuals, x, mom, g, fun, converged, warns)

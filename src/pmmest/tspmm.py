@@ -18,16 +18,13 @@ from .tscore import (
     ModelOrder,
     TsFit,
     TsParams,
-    _capped_objective,
+    _capped,
     _filter_polynomials,
     _fit_series,
+    css_residuals,
     difference,
     integrate_forecast,
 )
-
-# css_residuals is bound here for bench/test_bench.py, which checks that the
-# tracer rewrites every namespace that binds it.
-from .tscore import css_residuals  # noqa: F401
 
 __all__ = [
     "fit_ar_pmm2",
@@ -35,31 +32,18 @@ __all__ = [
     "fit_ts_pmm3",
     "forecast",
     "pmm2_objective",
-    "pmm3_objective",
 ]
 
 
-def pmm2_objective(w, params: TsParams, order: ModelOrder, c: float, m2: float,
-                   explosion_cap: float | None = None) -> float:
+def pmm2_objective(w, params: TsParams, order: ModelOrder, c: float, m2: float) -> float:
     """Q(theta) = sum e^2/2 + c*(e^3/3 - m2*e) with frozen weight c and variance m2.
 
     Its gradient is sum e' * [e + c*(e^2 - m2)], the time-series analogue of
     the PMM2 regression score.  The cubic term makes Q unbounded below where
-    the residual recursion explodes; ``explosion_cap`` (a bound on e^2, used
-    by the optimizer) turns that region into +inf.
+    the residual recursion explodes, so Q is +inf past e^2 > 1e6 * m2: the
+    objective the two-stage fit minimizes and reports.
     """
-    return _capped_objective(_SCORES["PMM2"], (c,), m2, w, params, order, explosion_cap)
-
-
-def pmm3_objective(w, params: TsParams, order: ModelOrder, b1: float, b3: float,
-                   explosion_cap: float | None = None) -> float:
-    """Q3(theta) = sum b1*e^2/2 + b3*e^4/4; gradient sum e' * (b1*e + b3*e^3).
-
-    Unbounded below when b1 < 0 or b3 < 0 and the recursion explodes; see
-    pmm2_objective for the role of explosion_cap.
-    """
-    return _capped_objective(_SCORES["PMM3"], (b1, b3), 0.0, w, params, order,
-                             explosion_cap)
+    return _capped(_SCORES["PMM2"], (c,), m2, css_residuals(w, params, order))
 
 
 def fit_ar_pmm2(x, p: int, include_mean: bool = True) -> TsFit:

@@ -239,14 +239,16 @@ class TestMcCommand:
         header = a.read_text().splitlines()[0]
         assert header.startswith("label,method,parameter")
 
-    def test_ml_alias_warns_but_runs(self, tmp_path, recwarn):
+    def test_ml_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "ml.csv"
         code = main(["mc", "--model", "ar", "--order", "1,0,0", "--no-mean",
                      "--theta", "0.5", "--innovations", "gaussian", "--n", "80",
                      "--n-sim", "50", "--methods", "ml,pmm2", "--seed", "2",
                      "--output", str(out)])
-        assert code == 0
-        assert "css" in out.read_text()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: method must be one of") and "'ml'" in err
+        assert not out.exists()
 
     def test_jobs_flag_preserves_determinism(self, tmp_path):
         serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
@@ -339,14 +341,23 @@ class TestExitCodes:
          "--order", "1,0,0", "--block-length", "5"],
         ["bootstrap", "--input", "SAMPLE", "--column", "y", "--design", "x",
          "--block-length", "5"],
+        # an output path that cannot be written: a missing directory (NODIR)
+        # or an existing directory (DIR)
+        ["fit", "--input", "SAMPLE", "--column", "y", "--method", "css",
+         "--order", "1,0,0", "--output", "NODIR"],
+        ["fit", "--input", "SAMPLE", "--column", "y", "--method", "css",
+         "--order", "1,0,0", "--output", "DIR"],
+        ["simulate", "--innovations", "gamma", "--n", "20", "--output", "NODIR"],
     ], ids=["simulate-innovations", "bootstrap-B", "bootstrap-B1", "bootstrap-block-length",
             "mc-n-sim", "mc-theta-length", "fit-horizon", "grid-gamma3", "seasonal-s",
             "fit-design-order", "fit-design-seasonal", "fit-design-no-mean",
-            "bootstrap-design-order", "bootstrap-design-block-length"])
+            "bootstrap-design-order", "bootstrap-design-block-length",
+            "fit-output-missing-dir", "fit-output-is-dir", "simulate-output-missing-dir"])
     def test_library_argument_error_is_usage_error(self, argv, tmp_path, capsys):
-        sample = str(Path(__file__).parent.parent / "data" / "ar1_gamma_sample.csv")
-        argv = [sample if a == "SAMPLE" else a for a in argv]
-        if argv[0] in ("simulate", "mc", "grid"):
+        places = {"SAMPLE": str(Path(__file__).parent.parent / "data" / "ar1_gamma_sample.csv"),
+                  "NODIR": str(tmp_path / "missing" / "out"), "DIR": str(tmp_path)}
+        argv = [places.get(a, a) for a in argv]
+        if argv[0] in ("simulate", "mc", "grid") and "--output" not in argv:
             argv += ["--output", str(tmp_path / "out.csv")]
         assert main(argv) == 2
         err = capsys.readouterr().err

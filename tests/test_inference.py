@@ -1,7 +1,10 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pmmest import inference, mcbench
 from pmmest.errors import FitFailureError
@@ -215,6 +218,32 @@ class TestResidualBootstrap:
     def test_small_b_warns(self):
         with pytest.warns(UserWarning):
             residual_bootstrap(gamma_problem(), "OLS", B=20, seed=0)
+
+
+@pytest.fixture(scope="module")
+def two_point():
+    """The draw and the replicate refit of a PMM2 residual bootstrap on 12 rows
+    with +-1 errors, where some refits do not converge."""
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal(12)
+    prob = build_design(1.0 + 0.5 * x + rng.choice([-1.0, 1.0], 12), [x], column_names=["x"])
+    with mock.patch.object(inference, "_bootstrap") as boot:
+        residual_bootstrap(prob, "PMM2", B=200, seed=0)
+    draw, refit = boot.call_args.args[2:4]
+    return draw, lambda data: inference._converged(refit(data)).coefficients
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), perm=st.permutations(range(24)))
+@example(seed=0, perm=list(range(23, -1, -1)))  # 3 of the 24 refits fail
+def test_replicate_order_does_not_matter(two_point, seed, perm):
+    # replicate i depends on its own SeedSequence child alone, failures included
+    seeds = np.random.SeedSequence(seed).spawn(24)
+    draw, refit = two_point
+    base = inference._replicates(seeds, draw, refit)
+    permuted = inference._replicates([seeds[i] for i in perm], draw, refit)
+    for i, rep in zip(perm, permuted):
+        assert (rep is None and base[i] is None) or np.array_equal(rep, base[i])
 
 
 class TestDefaultBlockLength:

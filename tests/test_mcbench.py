@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from pmmest import mcbench
-from pmmest.dispatch import fit_model
+from pmmest.dispatch import METHODS, fit_model
 from pmmest.errors import _REPLICATE_FAILURES, FitFailureError
 from pmmest.mcbench import (
     InnovationSpec,
@@ -199,12 +199,13 @@ class TestRunMonteCarlo:
         assert s1.n_failed == s2.n_failed
         assert s1.rows == s2.rows
 
-    def test_ml_alias_maps_to_css(self):
+    def test_ml_is_rejected(self):
+        # run_monte_carlo takes the METHODS names that fit_model takes, no alias
         spec = McSpec(model="ar", theta=(0.5, 0.0), innovations=InnovationSpec("gaussian"),
                       n=80, label="a", order=ModelOrder(p=1))
-        with pytest.warns(UserWarning, match="maps to CSS"):
-            _, summary = run_monte_carlo([spec], ("ml",), 50, seed=0)
-        assert {row.method for row in summary.rows} == {"css"}
+        with pytest.raises(ValueError) as exc:
+            run_monte_carlo([spec], ("ml",), 50, seed=0)
+        assert str(exc.value) == f"method must be one of {list(METHODS)}, got 'ml'"
 
     def test_coverage_reasonable(self):
         _, summary = run_monte_carlo([tiny_regression_spec(n=200)], ("ols",), 200, seed=4)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from pmmest.mcbench import InnovationSpec, sample_innovations
 from pmmest.tscore import (
     ModelOrder,
     TsParams,
-    _capped_objective,
+    _capped,
     css_residuals,
     difference,
     fit_css,
@@ -25,7 +26,6 @@ from pmmest.tspmm import (
     fit_ts_pmm3,
     forecast,
     pmm2_objective,
-    pmm3_objective,
 )
 
 
@@ -104,6 +104,33 @@ class TestTsPmm2:
              for t in grid]
         assert abs(fit.params.theta[0] - grid[np.argmin(q)]) < 1e-3
 
+    @pytest.mark.parametrize("order, coef", [
+        (ModelOrder(q=1, include_mean=False), {"theta": [0.5]}),
+        (ModelOrder(p=1, d=1), {"phi": [0.7]}),
+    ], ids=["ma1", "ari110"])
+    def test_public_objective_is_the_one_minimized(self, order, coef):
+        # the reported objective is pmm2_objective at the estimate, bit for bit
+        rng = np.random.default_rng(5)
+        eps = sample_innovations(InnovationSpec("gamma"), 300, rng)
+        x = simulate_arima(order, params_for(order, **coef), eps, 100)
+        fit = fit_ts_pmm2(x, order)
+        assert fit.method == "PMM2" and fit.converged
+        mom = fit.moments
+        c = pmm2_weight(mom.m2, mom.m3, mom.m4)
+        w = difference(x, order.d, order.D, order.s)
+        assert pmm2_objective(w, fit.params, order, c, mom.m2) == fit.objective
+
+    def test_public_objective_is_inf_past_the_explosion_cap(self):
+        # at theta = 1.5 the residual recursion grows like 1.5^t: far past
+        # 1000 frozen sd, where the cubic objective would be unbounded below
+        rng = np.random.default_rng(6)
+        order = ModelOrder(q=1, include_mean=False)
+        x = sample_innovations(InnovationSpec("gamma"), 300, rng)
+        css = fit_css(x, order)
+        c = pmm2_weight(css.moments.m2, css.moments.m3, css.moments.m4)
+        q = pmm2_objective(x, params_for(order, theta=[1.5]), order, c, css.moments.m2)
+        assert q == math.inf
+
     def test_objective_dominance(self):
         for seed in (1, 2, 3, 4):
             rng = np.random.default_rng(seed)
@@ -152,13 +179,12 @@ def qn_reference(x, order):
     two-stage fit ran it for every order before the Newton route: returns
     (coefficients, objective, converged, objective at the CSS start)."""
     css = fit_css(x, order)
-    score, mom = _SCORES["PMM2"], css.moments
-    weights = score.weights(mom)
+    mom = css.moments
+    c = pmm2_weight(mom.m2, mom.m3, mom.m4)
     w = difference(x, order.d, order.D, order.s)
 
     def q(vec):
-        return _capped_objective(score, weights, mom.m2, w, TsParams.from_vector(vec, order),
-                                 order, 1e6 * mom.m2)
+        return pmm2_objective(w, TsParams.from_vector(vec, order), order, c, mom.m2)
 
     start = css.params.to_vector(order)
     vec, fun, converged = minimize_qn(q, start)
@@ -254,7 +280,8 @@ class TestTsPmm3:
         from pmmest.cumulants import pmm3_weights
         b1, b3 = pmm3_weights(css.moments.m2, css.moments.m4, css.moments.m6)
         grid = np.linspace(-0.95, 0.95, 3801)
-        q = [pmm3_objective(x, params_for(order, theta=[t]), order, b1, b3)
+        q = [_capped(_SCORES["PMM3"], (b1, b3), css.moments.m2,
+                     css_residuals(x, params_for(order, theta=[t]), order))
              for t in grid]
         assert abs(fit.params.theta[0] - grid[np.argmin(q)]) < 1e-3
 
