@@ -24,7 +24,6 @@ from .dispatch import (
 )
 from .errors import (
     DataError,
-    DegenerateDistributionError,
     DegenerateInputError,
     DegenerateMomentsError,
     FitFailureError,

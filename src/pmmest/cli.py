@@ -442,6 +442,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        # an output the write would reject fails here, before the work; what
+        # only the write shows (permissions) is caught below
+        if args.output and Path(args.output).is_dir():
+            raise IsADirectoryError("Is a directory")
+        if args.output and not Path(args.output).parent.is_dir():
+            raise FileNotFoundError("No such file or directory")
         return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegenerateDistributionError,
     DegenerateMomentsError,
     InadmissibleCumulantsError,
     InputTooShortError,
@@ -174,27 +173,24 @@ def g3_coefficient(gamma4: float, gamma6: float) -> float:
     return g
 
 
-def _clamped_g2(mom: MomentSet | None, warns: list[str]) -> float:
-    """g2 of sample moments: 1 without usable moments, clamped into [0, 1]
-    with a note in ``warns`` when the plug-in cumulants are inadmissible."""
-    if mom is None or mom.degenerate:
-        warns.append("residual cumulants unavailable; g2 set to 1")
-        return 1.0
-    g, violation = _g2(mom.gamma3, mom.gamma4)
-    if violation:
-        warns.append(f"sample cumulants inadmissible for g2; clamped to {g:g}")
-    return g
+def _clamped(name: str, formula: Callable) -> Callable:
+    """The ``name`` coefficient of sample moments by ``formula`` (MomentSet ->
+    (value, violation), as ``_g2``/``_g3``): 1 without usable moments, clamped
+    into [0, 1] with a note in ``warns`` when the plug-in cumulants are
+    inadmissible."""
+    def clamp(mom: MomentSet | None, warns: list[str]) -> float:
+        if mom is None or mom.degenerate:
+            warns.append(f"residual cumulants unavailable; {name} set to 1")
+            return 1.0
+        value, violation = formula(mom)
+        if violation:
+            warns.append(f"sample cumulants inadmissible for {name}; clamped to {value:g}")
+        return value
+    return clamp
 
 
-def _clamped_g3(mom: MomentSet | None, warns: list[str]) -> float:
-    """g3 of sample moments, with the fallbacks of ``_clamped_g2``."""
-    if mom is None or mom.degenerate:
-        warns.append("residual cumulants unavailable; g3 set to 1")
-        return 1.0
-    g, violation = _g3(mom.gamma4, mom.gamma6)
-    if violation:
-        warns.append(f"sample cumulants inadmissible for g3; clamped to {g:g}")
-    return g
+_clamped_g2 = _clamped("g2", lambda mom: _g2(mom.gamma3, mom.gamma4))
+_clamped_g3 = _clamped("g3", lambda mom: _g3(mom.gamma4, mom.gamma6))
 
 
 def pmm2_weight(m2: float, m3: float, m4: float) -> float:
@@ -203,10 +199,13 @@ def pmm2_weight(m2: float, m3: float, m4: float) -> float:
     The corrected score e + c*(e^2 - m2) has variance
     m2 + 2*c*m3 + c^2*(m4 - m2^2), minimized at the returned c with minimum
     value m2 * g2.  Units: 1 / data-unit.
+
+    Raises DegenerateMomentsError when m4 <= m2^2, as ``pmm3_weights`` does
+    for a singular or indefinite moment matrix.
     """
     spread = m4 - m2 * m2
     if spread <= 0.0:
-        raise DegenerateDistributionError(
+        raise DegenerateMomentsError(
             f"m4 - m2^2 = {spread:g} is not positive; quadratic weight undefined")
     return -m3 / spread
 
@@ -233,7 +232,7 @@ def pmm3_weights(m2: float, m4: float, m6: float) -> tuple[float, float]:
 class _Score:
     """One PMM polynomial score psi(e) with weight tuple w, for every PMM fitter."""
 
-    weights: Callable    # MomentSet -> w; raises DegenerateDistribution/MomentsError
+    weights: Callable    # MomentSet -> w; raises DegenerateMomentsError
     fallback: tuple      # the w whose score is the OLS/CSS one
     psi: Callable        # (e, w, m2) -> psi(e)
     dpsi: Callable       # (e, w, m2) -> psi'(e), the weights of the exact Hessian

@@ -15,12 +15,9 @@ class InadmissibleCumulantsError(PmmError):
     """Cumulants violate the admissibility inequalities (g2/g3 undefined or outside [0,1])."""
 
 
-class DegenerateDistributionError(PmmError):
-    """Moment configuration leaves the quadratic correction weight undefined (m4 <= m2^2)."""
-
-
 class DegenerateMomentsError(PmmError):
-    """Moment matrix is singular or indefinite; polynomial weights undefined."""
+    """Sample moments leave the PMM weights undefined: m4 <= m2^2 (PMM2), or a
+    singular or indefinite moment matrix (PMM3)."""
 
 
 class MomentOverflowError(PmmError):

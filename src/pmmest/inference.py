@@ -8,7 +8,8 @@ regardless of execution order.
 ``_replicates`` is the one replicate loop, shared with
 ``mcbench.run_monte_carlo``: a replicate whose draw or refit raises a fit
 failure, or whose refit does not converge, is dropped, and more than 10%
-dropped is a ``FitFailureError``.  Any other exception propagates.
+dropped is a ``FitFailureError``.  Any other exception propagates.  A
+bootstrap's unconverged base fit is a ``FitFailureError``.
 """
 
 import math
@@ -85,10 +86,10 @@ def _replicates(seeds, draw, refit) -> list:
     return out
 
 
-def _converged(fit):
-    """``fit`` itself; a replicate failure when it did not converge."""
+def _converged(fit, what: str = "replicate"):
+    """``fit`` itself; a FitFailureError naming ``what`` when it did not converge."""
     if not fit.converged:
-        raise FitFailureError("replicate did not converge")
+        raise FitFailureError(f"{what} did not converge")
     return fit
 
 
@@ -98,11 +99,13 @@ def _check_failures(n_failed: int, total: int, what: str):
         raise FitFailureError(f"{n_failed}/{total} {what} failed")
 
 
-def _bootstrap(names, estimate, draw, refit, B: int, seed: int, level: float,
+def _bootstrap(names, base, draw, refit, B: int, seed: int, level: float,
                keep_replicates: bool, **info) -> BootstrapResult:
     """Refit ``refit(draw(rng))`` for B replicates, drop failed ones by the
     module's replicate rule and summarize the kept coefficient vectors around
-    ``estimate``; ``info`` holds the remaining BootstrapResult fields."""
+    those of ``base``, a fit held to the same rule; ``info`` holds the
+    remaining BootstrapResult fields."""
+    estimate = _converged(base, "base fit").coefficients
     reps = [c for c in _replicates(np.random.SeedSequence(seed).spawn(B), draw,
                                    lambda data: _converged(refit(data)).coefficients)
             if c is not None]
@@ -128,8 +131,8 @@ def residual_bootstrap(problem: DesignProblem, method: str = "PMM2", B: int = 50
     """Residual-resampling bootstrap for a regression fit.
 
     Centered residuals are resampled with replacement, y* = X b + e* is
-    rebuilt, and the same method is refit per replicate.  Replicates are
-    dropped by the module's replicate rule.
+    rebuilt, and the same method is refit per replicate.  The base fit and
+    the replicates follow the module's replicate rule.
     """
     method = _method_name(method, regression=True)
     _check_b(B, level)
@@ -138,7 +141,7 @@ def residual_bootstrap(problem: DesignProblem, method: str = "PMM2", B: int = 50
     centered = base.residuals - base.residuals.mean()
     n = problem.n
     return _bootstrap(
-        problem.column_names, base.coefficients,
+        problem.column_names, base,
         lambda rng: fitted + centered[rng.integers(0, n, size=n)],
         lambda y_star: fit_model(DesignProblem(problem.X, y_star,
                                                list(problem.column_names)), method),
@@ -194,7 +197,7 @@ def block_bootstrap_ts(x, order: ModelOrder, method: str = "PMM2", B: int = 500,
         return np.concatenate([head, integrate_forecast(
             head, w_star, order.d, order.D, order.s)])
 
-    return _bootstrap(param_names(order), base.params.to_vector(order), draw,
+    return _bootstrap(param_names(order), base, draw,
                       lambda x_star: fit_model(x_star, method, order),
                       B, seed, level, keep_replicates, scheme="block", fit_method=method,
                       block_length=block_length)

@@ -15,7 +15,6 @@ import numpy as np
 
 from .cumulants import _SCORES, MomentSet, central_moments
 from .errors import (
-    DegenerateDistributionError,
     DegenerateMomentsError,
     FitFailureError,
     InputTooShortError,
@@ -148,25 +147,26 @@ def _fit_polynomial(method: str, problem: DesignProblem, tol: float) -> Regressi
             f"need n >= k + {score.extra_obs}, got n = {problem.n}, k = {problem.k}")
     proj = problem._proj
     beta = proj @ problem.y  # OLS start
+    # the residuals and moments of the current iterate, computed once per step
+    eps = problem.y - problem.X @ beta
+    mom = central_moments(eps)
     warns: list[str] = []
-    if score.symmetric:
-        mom0 = _moments_or_none(problem.y - problem.X @ beta)
-        if mom0 is not None and not mom0.degenerate and abs(mom0.gamma3) > 0.5:
-            warns.append(
-                f"OLS residual skewness {mom0.gamma3:.3f} exceeds 0.5; "
-                f"{method} assumes symmetric errors")
+    if score.symmetric and not mom.degenerate and abs(mom.gamma3) > 0.5:
+        warns.append(
+            f"OLS residual skewness {mom.gamma3:.3f} exceeds 0.5; "
+            f"{method} assumes symmetric errors")
     converged = False
     iterations = fallback_steps = 0
     for iterations in range(1, _MAX_ITER + 1):
-        eps = problem.y - problem.X @ beta
-        mom = central_moments(eps)
         try:
             weights = score.weights(mom)
-        except (DegenerateDistributionError, DegenerateMomentsError):
+        except DegenerateMomentsError:
             weights = score.fallback
             fallback_steps += 1
         delta = (proj @ score.psi(eps, weights, mom.m2)) / score.slope(weights, mom.m2)
         beta = beta + delta
+        eps = problem.y - problem.X @ beta
+        mom = central_moments(eps)
         if np.max(np.abs(delta)) < tol:
             converged = True
             break
@@ -175,12 +175,8 @@ def _fit_polynomial(method: str, problem: DesignProblem, tol: float) -> Regressi
                      f"of {iterations} steps")
     if not converged:
         warns.append(f"no convergence after {_MAX_ITER} iterations")
-        _warnings.warn(f"fit_{method.lower()} did not converge", RuntimeWarning,
-                       stacklevel=3)
-    residuals = problem.y - problem.X @ beta
-    mom = _moments_or_none(residuals)
     g = score.clamp(mom, warns)
-    return RegressionFit(method, beta, residuals, mom, g, iterations, converged, warns)
+    return RegressionFit(method, beta, eps, mom, g, iterations, converged, warns)
 
 
 def fit_pmm2(problem: DesignProblem, tol: float = 1e-6) -> RegressionFit:

@@ -2,7 +2,7 @@
 
 Innovation laws live in ``_FAMILIES``, one record each with its parameter
 keys and defaults, validity check, mean, exact cumulants and sampler; every
-law can be standardized to mean 0.  Sixth-cumulant closed forms exist for
+draw is shifted to mean 0.  Sixth-cumulant closed forms exist for
 the symmetric families only, so g3 is reported only for those.
 
 The engine simulates ``n_sim`` data sets per specification, fits every
@@ -18,14 +18,14 @@ for one method is dropped for all.
 import csv
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
 from .cumulants import CumulantProfile, g2_coefficient, g3_coefficient
 from .dispatch import _method_name, _refit_from_css, fit_model
 from .inference import _check_failures, _converged, _replicates
-from .linmodel import asymptotic_covariance, build_design
+from .linmodel import DesignProblem, asymptotic_covariance
 from .tscore import (
     ModelOrder,
     TsParams,
@@ -53,7 +53,6 @@ class InnovationSpec:
 
     family: str
     params: tuple = ()
-    standardized: bool = True
 
 
 @dataclass(frozen=True)
@@ -154,12 +153,9 @@ def innovation_theory(spec: InnovationSpec) -> CumulantProfile:
 
 
 def sample_innovations(spec: InnovationSpec, n: int, rng: "np.random.Generator") -> np.ndarray:
-    """Draw n i.i.d. innovations, shifted to mean zero when standardized."""
+    """Draw n i.i.d. innovations, shifted to mean zero."""
     family, params = _resolve(spec)
-    x = family.draw(rng, params, n)
-    if spec.standardized:
-        x = x - family.mean(params)
-    return x
+    return family.draw(rng, params, n) - family.mean(params)
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +225,10 @@ class McSummary:
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["label", "method", "parameter", "n_used", "mse",
-                             "bias", "variance", "coverage", "gain", "theory_g"])
-            for r in self.rows:
-                writer.writerow([
-                    r.label, r.method, r.parameter, r.n_used, repr(r.mse),
-                    repr(r.bias), repr(r.variance), repr(r.coverage),
-                    "" if r.gain is None else repr(r.gain),
-                    "" if r.theory_g is None else repr(r.theory_g)])
+            writer.writerow([f.name for f in fields(McSummaryRow)])
+            for r in self.rows:  # floats by repr, None as an empty cell
+                writer.writerow(["" if v is None else repr(v) if isinstance(v, float) else v
+                                 for v in astuple(r)])
 
 
 def _normalize_methods(methods, regression: bool) -> list[str]:
@@ -257,11 +249,9 @@ def _spec_param_names(spec: McSpec) -> list[str]:
 def _simulate_spec(spec: McSpec, rng: "np.random.Generator"):
     if spec.order is None:
         eps = sample_innovations(spec.innovations, spec.n, rng)
-        k = len(spec.theta)
-        cols = [rng.standard_normal(spec.n) for _ in range(k - 1)]
+        cols = [rng.standard_normal(spec.n) for _ in range(len(spec.theta) - 1)]
         X = np.column_stack([np.ones(spec.n)] + cols)
-        y = X @ np.asarray(spec.theta) + eps
-        return build_design(y, cols, include_intercept=True)
+        return DesignProblem(X, X @ np.asarray(spec.theta) + eps, _spec_param_names(spec))
     eps = sample_innovations(spec.innovations, spec.n + spec.burnin, rng)
     params = TsParams.from_vector(np.asarray(spec.theta), spec.order)
     return simulate_arima(spec.order, params, eps, spec.burnin)

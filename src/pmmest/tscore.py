@@ -20,14 +20,12 @@ on first use without importing the ``scipy`` or ``scipy.signal`` package.
 import functools
 import math
 import sys
-import warnings as _warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cumulants import _SCORES, MomentSet
 from .errors import (
-    DegenerateDistributionError,
     DegenerateMomentsError,
     FitFailureError,
     InputTooShortError,
@@ -102,11 +100,6 @@ class TsParams:
                 raise ValueError(f"{name} must be one-dimensional, got shape {value.shape}")
             setattr(self, name, value)
         self.mean = float(self.mean)
-
-    @classmethod
-    def zeros(cls, order: ModelOrder) -> "TsParams":
-        return cls(np.zeros(order.p), np.zeros(order.q),
-                   np.zeros(order.P), np.zeros(order.Q), 0.0)
 
     def check_order(self, order: ModelOrder):
         sizes = (self.phi.size, self.theta.size, self.Phi.size, self.Theta.size)
@@ -261,8 +254,6 @@ def _lag_product(c: np.ndarray, C: np.ndarray, s: int, ma: bool) -> np.ndarray:
     or of (1 + sum c_j B^j)(1 + sum C_k B^{sk}) when ``ma``."""
     prod = _lag_factor(c, 1, ma)
     if C.size:
-        if s < 2:
-            raise ValueError("seasonal coefficients require s >= 2")
         prod = np.convolve(prod, _lag_factor(C, s, ma))
     return prod
 
@@ -619,7 +610,7 @@ def _two_stage(method: str, x: np.ndarray, w: np.ndarray, order: ModelOrder,
                      f"{method} assumes symmetric errors")
     try:
         weights = score.weights(mom)
-    except (DegenerateDistributionError, DegenerateMomentsError):
+    except DegenerateMomentsError:
         return replace(base, warnings=[
             *base.warnings,
             f"CSS residual moments leave the {method} weights undefined; returning CSS fit"])
@@ -664,22 +655,21 @@ def _fit_series(method: str, x, order: ModelOrder, css: TsFit | None = None) -> 
         return _lag_design_fit(method, x, w, order)
     if method != "CSS":
         return _two_stage(method, x, w, order, css)
-    start = TsParams.zeros(order)
+    start = np.zeros(order.n_params)
     if order.include_mean:
-        start.mean = float(np.mean(w))
+        start[-1] = np.mean(w)
     if order.p == 0 and order.q == 0 and order.P == 0 and order.Q == 0:
-        return _finish_ts_fit("CSS", x, w, start, order, [], True)
+        return _finish_ts_fit("CSS", x, w, TsParams.from_vector(start, order), order, [], True)
 
     def objective(vec):
         eps = css_residuals(w, TsParams.from_vector(vec, order), order)
         with np.errstate(over="ignore", invalid="ignore"):
             return float((eps * eps).sum())
 
-    vec, _, converged = minimize_qn(objective, start.to_vector(order))
+    vec, _, converged = minimize_qn(objective, start)
     warns = []
     if not converged:
         warns.append("CSS optimizer did not converge")
-        _warnings.warn("fit_css did not converge", RuntimeWarning, stacklevel=3)
     params = TsParams.from_vector(vec, order)
     return _finish_ts_fit("CSS", x, w, params, order, warns, converged)
 
@@ -723,6 +713,8 @@ def simulate_arima(order: ModelOrder, params: TsParams, innovations,
 def ts_asymptotic_covariance(fit: TsFit) -> np.ndarray:
     """Gauss-Newton asymptotic covariance g * m2 * (J'J)^-1, J = d(residuals)/d(params)."""
     order = fit.order
+    if not fit.converged:
+        raise FitFailureError("covariance requires a converged fit")
     if fit.moments is None:
         raise ValueError("covariance requires residual moments")
     vec = fit.params.to_vector(order)

@@ -1,10 +1,12 @@
-"""Shared test utilities: synthetic vectors with prescribed sample cumulants."""
+"""Shared test utilities: synthetic vectors with prescribed sample cumulants, and
+data whose fits do not converge."""
 
 import numpy as np
 from scipy.optimize import least_squares
 from scipy.stats import norm
 
 from pmmest.cumulants import central_moments
+from pmmest.linmodel import build_design
 
 
 def vector_with_cumulants(gamma3, gamma4, n=4000):
@@ -44,3 +46,17 @@ def symmetric_orthogonal_errors():
     e = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
     assert e.sum() == 0.0 and (x * e).sum() == 0.0 and (e**3).sum() == 0.0
     return x, e
+
+
+def unconverged_pmm2_problem():
+    """y = 1 + 2x + Gamma(2, 1) - 2 on 20 rows, whose PMM2 fit stops at the
+    200-iteration cap, unconverged."""
+    rng = np.random.default_rng(np.random.SeedSequence([5, 20]).spawn(300)[145])
+    x = rng.standard_normal(20)
+    e = rng.gamma(2.0, 1.0, 20) - 2.0
+    return build_design(1.0 + 2.0 * x + e, [x], column_names=["x"])
+
+
+def unconverged_css_series():
+    """A 20-point +-1 series whose ARMA(1,1) CSS fit does not converge."""
+    return np.random.default_rng(5).choice([-1.0, 1.0], 40)[20:]

@@ -6,6 +6,8 @@ import jsonschema
 import numpy as np
 import pytest
 
+from helpers import unconverged_pmm2_problem
+from pmmest import cli
 from pmmest.cli import build_parser, main
 from pmmest.mcbench import InnovationSpec, sample_innovations
 from pmmest.tscore import ModelOrder, TsParams, simulate_arima
@@ -311,6 +313,35 @@ class TestExitCodes:
         code = main(["fit", "--input", str(path), "--column", "y",
                      "--design", "a,b", "--method", "ols"])
         assert code == 4
+
+    def test_unconverged_bootstrap_base_fit_is_fit_error(self, tmp_path, capsys):
+        prob = unconverged_pmm2_problem()
+        path = tmp_path / "cap.csv"
+        write_csv(path, ["y", "x"], [(repr(float(v)), repr(float(u)))
+                                     for v, u in zip(prob.y, prob.X[:, 1])])
+        code = main(["bootstrap", "--input", str(path), "--column", "y", "--design", "x",
+                     "--method", "pmm2", "--B", "199", "--seed", "1"])
+        assert code == 4
+        assert capsys.readouterr().err == "fit error: base fit did not converge\n"
+
+    @pytest.mark.parametrize("argv, runner", [
+        (["grid", "--grid-gamma3", "0,1.2", "--grid-n", "100", "--B", "50"],
+         "advantage_grid"),
+        (["mc", "--model", "regression", "--theta", "1,2", "--innovations", "gamma",
+          "--n", "100", "--n-sim", "50", "--methods", "ols,pmm2"], "run_monte_carlo"),
+    ], ids=["grid", "mc"])
+    @pytest.mark.parametrize("output, reason", [
+        ("NODIR", "No such file or directory"), ("DIR", "Is a directory")])
+    def test_unwritable_output_fails_before_the_run(self, argv, runner, output, reason,
+                                                    tmp_path, monkeypatch, capsys):
+        def run(*args, **kwargs):
+            raise AssertionError(f"{runner} ran before the output was checked")
+
+        monkeypatch.setattr(cli, runner, run)
+        path = str(tmp_path / "missing" / "out.csv") if output == "NODIR" else str(tmp_path)
+        assert main(argv + ["--output", path]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {path}: {reason}\n"
+        assert not (tmp_path / "missing").exists()
 
     # Each command passes argparse, then the library rejects an argument with
     # a ValueError, which must exit 2 with a one-line message.

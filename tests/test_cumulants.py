@@ -17,7 +17,6 @@ from pmmest.cumulants import (
     pmm3_weights,
 )
 from pmmest.errors import (
-    DegenerateDistributionError,
     DegenerateMomentsError,
     InadmissibleCumulantsError,
     InputTooShortError,
@@ -227,7 +226,7 @@ class TestPmm2Weight:
         assert pmm2_weight(1.0, 0.0, 3.0) == 0.0
 
     def test_degenerate_raises(self):
-        with pytest.raises(DegenerateDistributionError):
+        with pytest.raises(DegenerateMomentsError):
             pmm2_weight(2.0, 1.0, 4.0)  # m4 = m2^2
 
     @pytest.mark.parametrize("m2, m3, m4", [

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import unconverged_css_series, unconverged_pmm2_problem
 from pmmest import inference, mcbench
 from pmmest.errors import FitFailureError
 from pmmest.inference import block_bootstrap_ts, default_block_length, residual_bootstrap
@@ -49,6 +50,18 @@ def test_refit_defect_propagates(monkeypatch, run):
     # only fit failures count as failed replicates; a TypeError is a defect
     raise_after_base_fit(monkeypatch, inference)
     with pytest.raises(TypeError, match="defect in a replicate refit"):
+        run()
+
+
+@pytest.mark.parametrize("run", [
+    lambda: residual_bootstrap(unconverged_pmm2_problem(), "PMM2", B=199, seed=1),
+    lambda: block_bootstrap_ts(unconverged_css_series(), ModelOrder(p=1, q=1), "CSS",
+                               B=50, seed=0),
+], ids=["residual", "block"])
+def test_unconverged_base_fit_is_a_fit_failure(monkeypatch, run):
+    # the base fit is held to the replicates' rule, before any refit
+    raise_after_base_fit(monkeypatch, inference)
+    with pytest.raises(FitFailureError, match="^base fit did not converge$"):
         run()
 
 

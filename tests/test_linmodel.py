@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import symmetric_orthogonal_errors
+from helpers import symmetric_orthogonal_errors, unconverged_pmm2_problem
+from pmmest import linmodel
 from pmmest.cumulants import pmm2_weight, pmm3_weights
 from pmmest.errors import InputTooShortError, SingularDesignError
 from pmmest.linmodel import (
@@ -163,6 +165,27 @@ class TestPmm2:
         fit, fit_s = fit_pmm2(prob), fit_pmm2(shifted)
         assert fit_s.coefficients[0] == pytest.approx(fit.coefficients[0] + 5.0, abs=1e-8)
         assert fit_s.coefficients[1] == pytest.approx(fit.coefficients[1], abs=1e-8)
+
+
+class TestIteration:
+    @pytest.mark.parametrize("fitter", [fit_pmm2, fit_pmm3])
+    def test_moments_once_per_iterate(self, fitter, monkeypatch):
+        # one moment set for the OLS start and one per step; the fit reports
+        # the last, of its own residuals
+        real, calls = linmodel.central_moments, []
+        monkeypatch.setattr(linmodel, "central_moments",
+                            lambda eps: calls.append(eps) or real(eps))
+        fit = fitter(gamma_problem(n=120, seed=3))
+        assert fit.iterations > 1
+        assert len(calls) == fit.iterations + 1
+        assert calls[-1] is fit.residuals
+
+    def test_unconverged_fit_reports_on_the_record_alone(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_pmm2(unconverged_pmm2_problem())
+        assert (fit.converged, fit.iterations) == (False, 200)
+        assert "no convergence after 200 iterations" in fit.warnings
 
 
 class TestPmm3:

@@ -157,12 +157,6 @@ class TestSampleInnovations:
         b = sample_innovations(spec, 100, np.random.default_rng(5))
         assert np.array_equal(a, b)
 
-    def test_unstandardized_keeps_raw_location(self):
-        rng = np.random.default_rng(8)
-        x = sample_innovations(InnovationSpec("chisq", (3.0,), standardized=False),
-                               50_000, rng)
-        assert x.mean() == pytest.approx(3.0, abs=0.1)
-
 
 def tiny_regression_spec(label="reg", family="gamma", n=60):
     return McSpec(model="regression", theta=(1.0, 2.0),

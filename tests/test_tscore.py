@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pmmest.errors import InputTooShortError
+from helpers import unconverged_css_series
+from pmmest.errors import FitFailureError, InputTooShortError
 from pmmest.tscore import (
     ModelOrder,
     TsParams,
@@ -19,6 +20,7 @@ from pmmest.tscore import (
     integrate_forecast,
     minimize_qn,
     simulate_arima,
+    ts_asymptotic_covariance,
 )
 from pmmest.tspmm import fit_ts_pmm2, fit_ts_pmm3
 
@@ -400,6 +402,18 @@ class TestFitCss:
     def test_too_short_raises(self):
         with pytest.raises(InputTooShortError):
             fit_css(np.ones(6), ModelOrder(p=1))
+
+    def test_unconverged_fit_reports_on_the_record_alone(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_css(unconverged_css_series(), ModelOrder(p=1, q=1))
+        assert not fit.converged
+        assert "CSS optimizer did not converge" in fit.warnings
+
+    def test_covariance_requires_a_converged_fit(self):
+        fit = fit_css(unconverged_css_series(), ModelOrder(p=1, q=1))
+        with pytest.raises(FitFailureError, match="requires a converged fit"):
+            ts_asymptotic_covariance(fit)
 
     @pytest.mark.parametrize("fitter", [fit_css, fit_ts_pmm2, fit_ts_pmm3])
     @pytest.mark.parametrize("n, order", [
