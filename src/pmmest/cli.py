@@ -292,6 +292,8 @@ def cmd_simulate(args) -> int:
     else:
         if args.n is None:
             raise ValueError("--n is required when innovations are generated")
+        if args.n < 1:
+            raise ValueError(f"--n must be at least 1, got {args.n}")
         rng = np.random.default_rng(np.random.SeedSequence(args.seed))
         eps = sample_innovations(args.innovations, args.n + args.burnin, rng)
     x = simulate_arima(order, params, eps, burnin=args.burnin)

@@ -29,7 +29,7 @@ from .errors import (
     _require_finite,
 )
 from .linmodel import _REGRESSION_FITTERS, DesignProblem, information_criteria
-from .tscore import ModelOrder, TsFit, _fit_series, fit_css
+from .tscore import ModelOrder, TsFit, _fit_series, _min_series_length, fit_css
 from .tspmm import fit_ts_pmm2, fit_ts_pmm3
 
 __all__ = [
@@ -160,13 +160,13 @@ def render_decision(decision: DispatchDecision) -> str:
 
 
 def _scan_ar_order(x, max_p: int = 5) -> TsFit:
-    """The CSS fit of the AR order (p <= max_p) minimizing its AIC."""
+    """The CSS fit of the AR order (p <= max_p) minimizing its AIC, among the
+    orders PMM3, the method needing the most observations, can refit."""
     best = None
     for p in range(max_p + 1):
-        try:
-            fit = fit_css(x, ModelOrder(p=p))
-        except InputTooShortError:
+        if x.size <= _min_series_length(ModelOrder(p=p), "PMM3"):
             break
+        fit = fit_css(x, ModelOrder(p=p))
         _, aic, _ = information_criteria(fit)
         if best is None or aic < best[0]:
             best = (aic, fit)
@@ -188,6 +188,7 @@ def dispatch_fit(data, *, config: DispatchConfig | None = None,
         base = fit_model(data, "ols")
     else:
         data = np.asarray(data, dtype=float)
+        _require_finite("series", data)  # before the scan's length test
         base = _scan_ar_order(data) if order is None else fit_css(data, order)
     decision = select_method(base.residuals, config)
     if decision.method == "OLS_CSS":

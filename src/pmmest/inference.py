@@ -183,7 +183,7 @@ def block_bootstrap_ts(x, order: ModelOrder, method: str = "PMM2", B: int = 500,
     resid = np.asarray(base.residuals, dtype=float)
     n_w = resid.size
     blocks = [resid[i:i + block_length] for i in range(0, n_w, block_length)]
-    ar, ma = _filter_polynomials(base.params, order)
+    ar, ma = _filter_polynomials(base.coefficients, order)
     head = x[:order.d + order.D * order.s]
     n_blocks = len(blocks)
 

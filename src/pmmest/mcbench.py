@@ -22,13 +22,15 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .cumulants import CumulantProfile, g2_coefficient, g3_coefficient
+from .cumulants import _SCORES, CumulantProfile, g2_coefficient, g3_coefficient
 from .dispatch import _method_name, _refit_from_css, fit_model
+from .errors import InputTooShortError
 from .inference import _check_failures, _converged, _replicates
 from .linmodel import DesignProblem, asymptotic_covariance
 from .tscore import (
     ModelOrder,
     TsParams,
+    _min_series_length,
     param_names,
     simulate_arima,
     ts_asymptotic_covariance,
@@ -246,6 +248,19 @@ def _spec_param_names(spec: McSpec) -> list[str]:
     return param_names(spec.order)
 
 
+def _check_length(spec: McSpec, method: str):
+    """InputTooShortError unless ``spec.n`` suffices for the fitters' length rule
+    of ``method`` and, for a regression, the covariance's moments (n >= 4)."""
+    if spec.order is not None:
+        need = _min_series_length(spec.order, method.upper())
+    else:
+        k = len(spec.theta)
+        need = max(3, k if method == "ols" else k + _SCORES[method.upper()].extra_obs - 1)
+    if spec.n <= need:
+        raise InputTooShortError(f"spec {spec.label!r}: n = {spec.n} is too short for "
+                                 f"{method}, which needs n > {need}")
+
+
 def _simulate_spec(spec: McSpec, rng: "np.random.Generator"):
     if spec.order is None:
         eps = sample_innovations(spec.innovations, spec.n, rng)
@@ -300,7 +315,7 @@ def run_monte_carlo(specs, methods, n_sim: int, seed: int = 0,
     matrix with NaN rows for dropped replicates.  A replicate is dropped for
     all methods when any requested method fails on it, keeping the MSE
     comparisons matched; a spec errors out when more than 10% of replicates
-    drop.
+    drop, or (InputTooShortError) before any replicate when n is too short.
     """
     specs = list(specs)
     if n_sim < 50:
@@ -316,6 +331,8 @@ def run_monte_carlo(specs, methods, n_sim: int, seed: int = 0,
     for si, spec in enumerate(specs):
         regression = spec.order is None
         spec_methods = _normalize_methods(methods, regression)
+        for m in spec_methods:  # before any replicate: a short n fails every one
+            _check_length(spec, m)
         rep_seeds = spec_streams[si].spawn(n_sim)
         if n_jobs > 1:
             from concurrent.futures import ProcessPoolExecutor

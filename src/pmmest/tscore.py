@@ -116,22 +116,20 @@ class TsParams:
 
     @classmethod
     def from_vector(cls, vec, order: ModelOrder) -> "TsParams":
-        """Split a parameter vector into fields, views of ``vec`` when it is
-        float64; the fields are those the constructor gives, bit for bit."""
-        vec = np.asarray(vec, dtype=float)
-        if vec.ndim != 1 or vec.size != order.n_params:
-            raise ValueError(f"expected a vector of {order.n_params} parameters, "
-                             f"got shape {vec.shape}")
-        # slices of a 1-D float64 array already pass __post_init__'s coercion,
-        # and this runs once per residual evaluation, so it is skipped
-        self = cls.__new__(cls)
-        i = 0
-        self.phi = vec[i:i + order.p]; i += order.p
-        self.theta = vec[i:i + order.q]; i += order.q
-        self.Phi = vec[i:i + order.P]; i += order.P
-        self.Theta = vec[i:i + order.Q]; i += order.Q
-        self.mean = float(vec[i]) if order.include_mean else 0.0
-        return self
+        """The parameters of a vector in the ``to_vector`` layout."""
+        return cls(*_split(vec, order))
+
+
+def _split(vec, order: ModelOrder) -> tuple:
+    """(phi, theta, Phi, Theta, mean) of a vector in the ``TsParams.to_vector``
+    layout (mean 0.0 without a mean term); ValueError for any other shape."""
+    vec = np.asarray(vec, dtype=float)
+    if vec.ndim != 1 or vec.size != order.n_params:
+        raise ValueError(f"expected a vector of {order.n_params} parameters, "
+                         f"got shape {vec.shape}")
+    b, c = order.p + order.q, order.p + order.q + order.P
+    return (vec[:order.p], vec[order.p:b], vec[b:c], vec[c:c + order.Q],
+            vec[-1] if order.include_mean else 0.0)
 
 
 def param_names(order: ModelOrder) -> list[str]:
@@ -239,8 +237,7 @@ def _lag_factor(coefs: np.ndarray, step: int, ma: bool) -> np.ndarray:
     with [1.0] returns exactly these bits, signed zeros included, so a product
     skips that convolution without changing a bit.
     """
-    # with step 1 every slot is written below
-    factor = (np.empty if step == 1 else np.zeros)(1 + step * coefs.size)
+    factor = np.zeros(1 + step * coefs.size)
     factor[0] = 1.0
     if ma:
         np.add(coefs, 0.0, out=factor[step::step])
@@ -258,12 +255,13 @@ def _lag_product(c: np.ndarray, C: np.ndarray, s: int, ma: bool) -> np.ndarray:
     return prod
 
 
-def _filter_polynomials(params: TsParams, order: ModelOrder) -> tuple[np.ndarray, np.ndarray]:
-    """Full AR and MA polynomials (num, den), leading 1 included: the residual
-    recursion is ``lfilter(num, den, w - mean)`` and the ARMA simulation is
-    ``lfilter(den, num, eps)``."""
-    return (_lag_product(params.phi, params.Phi, order.s, False),
-            _lag_product(params.theta, params.Theta, order.s, True))
+def _filter_polynomials(vec: np.ndarray, order: ModelOrder) -> tuple[np.ndarray, np.ndarray]:
+    """Full AR and MA polynomials (num, den) of a ``TsParams.to_vector`` vector,
+    leading 1 included: the residual recursion is ``lfilter(num, den, w - mean)``
+    and the ARMA simulation is ``lfilter(den, num, eps)``."""
+    phi, theta, Phi, Theta, _ = _split(vec, order)
+    return (_lag_product(phi, Phi, order.s, False),
+            _lag_product(theta, Theta, order.s, True))
 
 
 @functools.cache
@@ -303,18 +301,20 @@ def _lfilter(num, den, x) -> np.ndarray:
     return _linear_filter()(num, den, x, -1)
 
 
-def css_residuals(w, params: TsParams, order: ModelOrder) -> np.ndarray:
+def css_residuals(w, params: "TsParams | np.ndarray", order: ModelOrder) -> np.ndarray:
     """Conditional-sum-of-squares residual recursion on the differenced series.
 
+    ``params`` is a TsParams or its parameter vector (``TsParams.to_vector``).
     With 1 - sum a_j B^j = (1 - sum phi_j B^j)(1 - sum Phi_k B^{sk}) and
     1 + sum b_k B^k = (1 + sum theta_k B^k)(1 + sum Theta_l B^{sl}), computes
     e_t = (w_t - mean) - sum_j a_j (w_{t-j} - mean) - sum_k b_k e_{t-k}, with
-    presample w and e terms treated as zero.
+    presample w and e terms treated as zero and mean 0 without a mean term.
     Without MA terms the recursion is a finite convolution (numpy alone).
     """
-    params.check_order(order)
-    z = np.asarray(w, dtype=float) - params.mean
-    return _lfilter(*_filter_polynomials(params, order), z)
+    vec = params.to_vector(order) if isinstance(params, TsParams) else params
+    num, den = _filter_polynomials(vec, order)  # checks the vector's shape
+    z = np.asarray(w, dtype=float) - (vec[-1] if order.include_mean else 0.0)
+    return _lfilter(num, den, z)
 
 
 def ar_design_matrix(x, p: int, include_mean: bool = True) -> DesignProblem:
@@ -445,16 +445,16 @@ def _min_series_length(order: ModelOrder, method: str) -> int:
     return need
 
 
-def _unit_region_warnings(params: TsParams, order: ModelOrder, warns: list[str]):
-    """Note an AR or MA polynomial 1 + sum c_l z^l with a root of modulus at most
-    1 + 1e-8.
+def _unit_region_warnings(vec: np.ndarray, order: ModelOrder, warns: list[str]):
+    """Note an AR or MA polynomial of parameter vector ``vec``, 1 + sum c_l z^l,
+    with a root of modulus at most 1 + 1e-8.
 
     If sum |c_l| (1 + 1e-8)^L < 1 - 1e-6 (L the degree, 0 for a constant) no
     such root exists, and ``np.roots`` is skipped; written as
     ``not bound < ...`` so that NaN coefficients still reach ``np.roots`` and
     raise there.
     """
-    num, den = _filter_polynomials(params, order)
+    num, den = _filter_polynomials(vec, order)
     for name, poly, region in (("AR", num, "non-stationary"), ("MA", den, "non-invertible")):
         bound = float(np.abs(poly[1:]).sum()) * (1.0 + 1e-8) ** (poly.size - 1)
         if not bound < 1.0 - 1e-6:
@@ -481,17 +481,23 @@ def _lag_design_route(method: str, order: ModelOrder) -> bool:
     return _is_pure_ar(order) and (method != "PMM2" or order.d + order.D == 0)
 
 
-def _finish_ts_fit(method, x, w, params, order, warns, converged) -> TsFit:
-    """Residuals, sum of squares and moments of ``params``; the fit's g is the
-    ``_SCORES[method]`` clamp of the moments (1 for CSS)."""
-    residuals = css_residuals(w, params, order)
-    objective = float((residuals * residuals).sum())
-    moments = _moments_or_none(residuals)
+def _finish_ts_fit(method, x, w, vec, order, warns, converged, frozen=None) -> TsFit:
+    """The fit of parameter vector ``vec``: its residuals, sum of squares and
+    moments, or the capped objective of the (weights, moments) a two-stage fit
+    froze when ``frozen`` gives them; g is the ``_SCORES[method]`` clamp of the
+    moments (1 for CSS)."""
+    residuals = css_residuals(w, vec, order)
     score = _SCORES.get(method)
+    if frozen is None:
+        objective = float((residuals * residuals).sum())
+        moments = _moments_or_none(residuals)
+    else:
+        weights, moments = frozen
+        objective = _capped(score, weights, moments.m2, residuals)
     g = score.clamp(moments, warns) if score is not None else 1.0
-    _unit_region_warnings(params, order, warns)
-    return TsFit(method, order, params, residuals, x, moments, g, objective, converged,
-                 warns)
+    _unit_region_warnings(vec, order, warns)
+    return TsFit(method, order, TsParams.from_vector(vec, order), residuals, x, moments, g,
+                 objective, converged, warns)
 
 
 def _lag_design_fit(method, x, w, order) -> TsFit:
@@ -503,18 +509,17 @@ def _lag_design_fit(method, x, w, order) -> TsFit:
     fitter = _REGRESSION_FITTERS["OLS" if method == "CSS" else method]
     rfit = fitter(ar_design_matrix(w, order.p, include_mean=order.include_mean))
     warns = list(rfit.warnings)
+    vec = rfit.coefficients
     if order.include_mean:
-        intercept, phi = rfit.coefficients[0], rfit.coefficients[1:]
+        intercept, phi = vec[0], vec[1:]
         ar_sum = 1.0 - float(np.sum(phi))
         if abs(ar_sum) > 1e-10:
             mean = intercept / ar_sum
         else:
             mean = float(np.mean(w))
             warns.append("AR coefficients sum to ~1; mean set to the sample mean")
-    else:
-        phi, mean = rfit.coefficients, 0.0
-    params = TsParams(phi, np.empty(0), np.empty(0), np.empty(0), mean)
-    return _finish_ts_fit(method, x, w, params, order, warns, rfit.converged)
+        vec = np.concatenate([phi, [mean]])
+    return _finish_ts_fit(method, x, w, vec, order, warns, rfit.converged)
 
 
 def _capped(score, weights, m2: float, eps: np.ndarray) -> float:
@@ -617,22 +622,15 @@ def _two_stage(method: str, x: np.ndarray, w: np.ndarray, order: ModelOrder,
     if score.symmetric and weights[0] < 0.0:
         warns.append(f"b1 < 0 (platykurtic residuals): {method} objective may be nonconvex")
     if _is_pure_ar(order) and not order.include_mean:
-        phi, converged = _newton_ar(score, weights, mom.m2, w, base.params.phi)
-        params = TsParams.from_vector(phi, order)
+        vec, converged = _newton_ar(score, weights, mom.m2, w, base.coefficients)
     else:
         def objective(vec):
-            return _capped(score, weights, mom.m2,
-                           css_residuals(w, TsParams.from_vector(vec, order), order))
+            return _capped(score, weights, mom.m2, css_residuals(w, vec, order))
 
-        vec, _, converged = minimize_qn(objective, base.params.to_vector(order))
-        params = TsParams.from_vector(vec, order)
+        vec, _, converged = minimize_qn(objective, base.coefficients)
     if not converged:
         warns.append(f"{method} optimizer did not converge")
-    residuals = css_residuals(w, params, order)
-    fun = _capped(score, weights, mom.m2, residuals)
-    g = score.clamp(mom, warns)
-    _unit_region_warnings(params, order, warns)
-    return TsFit(method, order, params, residuals, x, mom, g, fun, converged, warns)
+    return _finish_ts_fit(method, x, w, vec, order, warns, converged, (weights, mom))
 
 
 def _fit_series(method: str, x, order: ModelOrder, css: TsFit | None = None) -> TsFit:
@@ -659,10 +657,10 @@ def _fit_series(method: str, x, order: ModelOrder, css: TsFit | None = None) -> 
     if order.include_mean:
         start[-1] = np.mean(w)
     if order.p == 0 and order.q == 0 and order.P == 0 and order.Q == 0:
-        return _finish_ts_fit("CSS", x, w, TsParams.from_vector(start, order), order, [], True)
+        return _finish_ts_fit("CSS", x, w, start, order, [], True)
 
     def objective(vec):
-        eps = css_residuals(w, TsParams.from_vector(vec, order), order)
+        eps = css_residuals(w, vec, order)
         with np.errstate(over="ignore", invalid="ignore"):
             return float((eps * eps).sum())
 
@@ -670,8 +668,7 @@ def _fit_series(method: str, x, order: ModelOrder, css: TsFit | None = None) -> 
     warns = []
     if not converged:
         warns.append("CSS optimizer did not converge")
-    params = TsParams.from_vector(vec, order)
-    return _finish_ts_fit("CSS", x, w, params, order, warns, converged)
+    return _finish_ts_fit("CSS", x, w, vec, order, warns, converged)
 
 
 def fit_css(x, order: ModelOrder) -> TsFit:
@@ -693,7 +690,7 @@ def simulate_arima(order: ModelOrder, params: TsParams, innovations,
     the output has length len(innovations) - burnin.  Burn-in only makes sense
     for stationary AR polynomials; this is not enforced.
     """
-    params.check_order(order)
+    vec = params.to_vector(order)
     for name in ("phi", "theta", "Phi", "Theta"):
         _require_finite(f"parameter {name}", getattr(params, name))
     if order.include_mean:  # the mean is unused otherwise
@@ -702,7 +699,7 @@ def simulate_arima(order: ModelOrder, params: TsParams, innovations,
     _require_finite("innovations", eps)
     if burnin < 0 or burnin >= eps.size:
         raise ValueError(f"burnin={burnin} must be in [0, len(innovations))")
-    num, den = _filter_polynomials(params, order)
+    num, den = _filter_polynomials(vec, order)
     z = _lfilter(den, num, eps)[burnin:]
     if order.include_mean:
         z = z + params.mean
@@ -717,11 +714,10 @@ def ts_asymptotic_covariance(fit: TsFit) -> np.ndarray:
         raise FitFailureError("covariance requires a converged fit")
     if fit.moments is None:
         raise ValueError("covariance requires residual moments")
-    vec = fit.params.to_vector(order)
+    vec = fit.coefficients
     if vec.size == 0:
         return np.zeros((0, 0))
     w = difference(fit.original_series, order.d, order.D, order.s)
-    J = _central_difference(
-        lambda v: css_residuals(w, TsParams.from_vector(v, order), order), vec)
+    J = _central_difference(lambda v: css_residuals(w, v, order), vec)
     jtj = J.T @ J
     return fit.g_coefficient * fit.moments.m2 * np.linalg.inv(jtj)

@@ -91,7 +91,7 @@ def forecast(fit: TsFit, horizon: int) -> np.ndarray:
         raise FitFailureError("forecast requires a converged fit")
     order = fit.order
     w = difference(fit.original_series, order.d, order.D, order.s)
-    num, den = _filter_polynomials(fit.params, order)
+    num, den = _filter_polynomials(fit.coefficients, order)
     # Lag weights oldest first, so step t is a dot with the p (q) values
     # before it; the p (q) leading zeros are the presample terms.
     a, b = -num[:0:-1], den[:0:-1]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import unconverged_pmm2_problem
-from pmmest import cli
+from pmmest import cli, mcbench
 from pmmest.cli import build_parser, main
 from pmmest.mcbench import InnovationSpec, sample_innovations
 from pmmest.tscore import ModelOrder, TsParams, simulate_arima
@@ -176,6 +176,12 @@ class TestSimulateCommand:
         assert main(args + ["--output", str(a)]) == 0
         assert main(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_non_positive_length_names_the_flag(self, tmp_path, capsys, n):
+        code = main(["simulate", "--n", n, "--output", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --n must be at least 1, got {n}\n"
 
     def test_coefficient_count_mismatch(self, tmp_path):
         code = main(["simulate", "--order", "2,0,0", "--ar", "0.7",
@@ -379,11 +385,13 @@ class TestExitCodes:
         ["fit", "--input", "SAMPLE", "--column", "y", "--method", "css",
          "--order", "1,0,0", "--output", "DIR"],
         ["simulate", "--innovations", "gamma", "--n", "20", "--output", "NODIR"],
+        ["simulate", "--innovations", "gamma", "--n", "0"],
     ], ids=["simulate-innovations", "bootstrap-B", "bootstrap-B1", "bootstrap-block-length",
             "mc-n-sim", "mc-theta-length", "fit-horizon", "grid-gamma3", "seasonal-s",
             "fit-design-order", "fit-design-seasonal", "fit-design-no-mean",
             "bootstrap-design-order", "bootstrap-design-block-length",
-            "fit-output-missing-dir", "fit-output-is-dir", "simulate-output-missing-dir"])
+            "fit-output-missing-dir", "fit-output-is-dir", "simulate-output-missing-dir",
+            "simulate-n-zero"])
     def test_library_argument_error_is_usage_error(self, argv, tmp_path, capsys):
         places = {"SAMPLE": str(Path(__file__).parent.parent / "data" / "ar1_gamma_sample.csv"),
                   "NODIR": str(tmp_path / "missing" / "out"), "DIR": str(tmp_path)}
@@ -393,6 +401,26 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    # n too short for the order (or the regression) fails before the first
+    # replicate, where it used to fail every replicate and exit 4
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--model", "ar", "--order", "1,0,0", "--theta", "0.5,0",
+         "--innovations", "gamma", "--n", "5", "--n-sim", "50"],
+        ["mc", "--model", "regression", "--theta", "1,2", "--innovations", "gamma",
+         "--n", "5", "--n-sim", "50", "--methods", "ols,pmm2"],
+        ["grid", "--grid-gamma3", "0", "--grid-n", "3", "--B", "50"],
+    ], ids=["mc-ar", "mc-regression", "grid"])
+    def test_too_short_monte_carlo_is_data_error(self, argv, tmp_path, monkeypatch, capsys):
+        def chunk(args):
+            raise AssertionError("a replicate ran before the length check")
+
+        monkeypatch.setattr(mcbench, "_replicate_chunk", chunk)
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: spec ") and "too short for" in err
+        assert err.count("\n") == 1 and not out.exists()
 
     def test_too_short_series_is_data_error(self, tmp_path):
         path = tmp_path / "short.csv"

@@ -259,7 +259,8 @@ def test_iir_residuals_equal_lfilter_of_expanded_polynomials(lfilter, order, n, 
     b = _lag_product(params.theta, params.Theta, order.s, True)
     expected = lfilter(a, b, w - params.mean)
     assert css_residuals(w, params, order).tobytes() == expected.tobytes()
-    num, den = _filter_polynomials(params, order)
+    assert css_residuals(w, params.to_vector(order), order).tobytes() == expected.tobytes()
+    num, den = _filter_polynomials(params.to_vector(order), order)
     assert (num.tobytes(), den.tobytes()) == (a.tobytes(), b.tobytes())
 
 
@@ -277,7 +278,7 @@ def test_simulation_equals_lfilter_bit_for_bit(lfilter, order, n, scale_exp, see
     params = TsParams(*(rng.uniform(-0.95, 0.95, k) for k in (order.p, order.q, order.P, order.Q)),
                       rng.standard_normal() * 10.0**scale_exp)
     burnin = data.draw(st.integers(0, n - 1))
-    num, den = _filter_polynomials(params, order)
+    num, den = _filter_polynomials(params.to_vector(order), order)
     z = lfilter(den, num, eps)[burnin:]
     if order.include_mean:
         z = z + params.mean

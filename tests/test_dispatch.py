@@ -194,6 +194,18 @@ def test_scanned_order_fit_is_the_baseline(monkeypatch):
         dispatch_fit(x, "timeseries")
 
 
+@pytest.mark.parametrize("family, seed", [("uniform", [1, 12, 1]), ("laplace", [4, 12, 3])])
+def test_scanned_order_of_a_short_series_can_be_refit(family, seed):
+    # 12 points: CSS fits AR(4) and AR(5), whose PMM refits need more rows;
+    # the scan stops at orders every dispatched method can fit
+    rng = np.random.default_rng(seed)
+    rng.standard_normal(12)
+    x = 1.0 + sample_innovations(InnovationSpec(family), 12, rng)
+    decision, fit = dispatch_fit(x)
+    assert decision.method != "OLS_CSS" and fit.method == decision.method
+    assert fit.order.p <= 2 and fit.converged
+
+
 class TestFitModel:
     def test_regression_table_is_shared(self):
         assert inference._REGRESSION_FITTERS is dispatch._REGRESSION_FITTERS

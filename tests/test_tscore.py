@@ -87,8 +87,11 @@ class TestTsParams:
 
     @pytest.mark.parametrize("vec", [np.zeros((2, 1)), np.zeros(3)])
     def test_from_vector_rejects_a_wrong_shape(self, vec):
+        order = ModelOrder(p=1, q=1, include_mean=False)
         with pytest.raises(ValueError, match="expected a vector of 2 parameters"):
-            TsParams.from_vector(vec, ModelOrder(p=1, q=1, include_mean=False))
+            TsParams.from_vector(vec, order)
+        with pytest.raises(ValueError, match="expected a vector of 2 parameters"):
+            css_residuals(np.zeros(5), vec, order)
 
 
 class TestDifference:
@@ -295,7 +298,7 @@ class TestUnitRegionWarnings:
                             Phi=-_lag_coefficients(rng, P, "plain", 0.0) * 0.5,
                             Theta=_lag_coefficients(rng, Q, "plain", 0.0) * 0.5)
         warns = []
-        _unit_region_warnings(params, order, warns)
+        _unit_region_warnings(params.to_vector(order), order, warns)
         assert warns == _unit_region_reference(params, order)
 
     @pytest.mark.parametrize("field", ["phi", "theta", "Phi", "Theta"])
@@ -306,7 +309,7 @@ class TestUnitRegionWarnings:
         with pytest.raises(Exception) as ref:
             _unit_region_reference(params, order)
         with pytest.raises(ref.type, match=re.escape(str(ref.value))):
-            _unit_region_warnings(params, order, [])
+            _unit_region_warnings(params.to_vector(order), order, [])
 
 
 class TestCssResiduals:

@@ -381,6 +381,24 @@ class TestSharedCssStage:
         assert alone.warnings == fit.warnings
         assert alone.coefficients.tobytes() == fit.coefficients.tobytes()
 
+    @pytest.mark.parametrize("method, built", [("CSS", 1), ("PMM2", 2)])
+    def test_one_tsparams_per_stage(self, method, built, monkeypatch):
+        # the optimizers and residuals run on the parameter vector; each stage
+        # builds the TsParams of its fit once, at the end
+        x, order = gamma_arma11()
+        made = []
+
+        class Counted(TsParams):
+            # a subclass, because CPython cannot undo setting __new__ on a class
+            def __new__(cls, *args, **kwargs):
+                made.append(cls)
+                return super().__new__(cls)
+
+        monkeypatch.setattr(tscore, "TsParams", Counted)
+        fit = tscore._fit_series(method, x, order)
+        assert fit.method == method and fit.converged
+        assert len(made) == built
+
     def test_degenerate_moments_return_a_noted_copy(self):
         x, order = gamma_arma11()
         css = dataclasses.replace(fit_css(x, order), moments=None)
@@ -439,7 +457,7 @@ def forecast_by_lags(fit, horizon):
     """Reference forecasts: the recursion written as a loop over every lag."""
     order = fit.order
     w = difference(fit.original_series, order.d, order.D, order.s)
-    num, den = tscore._filter_polynomials(fit.params, order)
+    num, den = tscore._filter_polynomials(fit.coefficients, order)
     a, b = -num[1:], den[1:]
     z = list(w - fit.params.mean)
     eps = list(fit.residuals)
