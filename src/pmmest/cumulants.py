@@ -85,8 +85,10 @@ def central_moments(x) -> MomentSet:
     The variance m2 has the unbiased n - 1 denominator; the higher moments
     have denominator n.
 
-    Raises MomentOverflowError when the standardized cumulants overflow the
-    float range, as for the residuals of a diverging iteration.
+    Raises MomentOverflowError when the standardized cumulants leave the
+    float range: powers of m2 that overflow, as for the residuals of a
+    diverging iteration, or that underflow to 0, as for data with an sd of
+    about 1e-54 or less.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -110,13 +112,13 @@ def central_moments(x) -> MomentSet:
     m3 = float(d2 @ d) / n
     m4 = float(d4.sum()) / n
     m6 = float(d4 @ d2) / n
-    try:  # a finite Python float power raises where numpy would give inf
+    try:  # float powers raise on overflow, and divisions by one that underflowed to 0
         gamma3 = m3 / m2**1.5
         gamma4 = m4 / m2**2 - 3.0
         gamma6 = m6 / m2**3 - 15.0 * gamma4 - 10.0 * gamma3**2 - 15.0
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         raise MomentOverflowError(
-            f"sample moments overflow the float range (m2 = {m2:g})") from None
+            f"sample moments overflow or underflow the float range (m2 = {m2:g})") from None
     return MomentSet(n, mean, m2, m3, m4, m6, gamma3, gamma4, gamma6)
 
 

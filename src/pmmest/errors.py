@@ -21,7 +21,8 @@ class DegenerateMomentsError(PmmError):
 
 
 class MomentOverflowError(PmmError):
-    """Sample moments overflow the float range (residuals of a diverging iteration)."""
+    """Sample moments leave the float range: they overflow (residuals of a
+    diverging iteration) or underflow (data with an sd of about 1e-54 or less)."""
 
 
 class SingularDesignError(PmmError):

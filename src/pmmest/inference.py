@@ -23,7 +23,8 @@ import numpy as np
 from .dispatch import _REGRESSION_FITTERS, _method_name, fit_model  # noqa: F401
 from .errors import _REPLICATE_FAILURES, FitFailureError
 from .linmodel import DesignProblem, _check_level
-from .tscore import ModelOrder, _filter_polynomials, _lfilter, integrate_forecast, param_names
+from .tscore import (ModelOrder, _filter_polynomials, _fit_series, _lfilter,
+                     integrate_forecast, param_names)
 
 __all__ = [
     "BootstrapResult",
@@ -167,7 +168,9 @@ def block_bootstrap_ts(x, order: ModelOrder, method: str = "PMM2", B: int = 500,
     shorter trailing block is kept and equally eligible), blocks are
     resampled with replacement and concatenated to the residual length, the
     fitted recursion is driven by the resampled residuals (then integrated
-    when d + D > 0), and the model is refit per replicate.
+    when d + D > 0), and the model is refit per replicate.  A refit of an MA
+    or seasonal order starts its CSS stage at the base estimate; a PMM stage
+    starts, as in any fit, from the replicate's CSS fit.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
@@ -183,7 +186,8 @@ def block_bootstrap_ts(x, order: ModelOrder, method: str = "PMM2", B: int = 500,
     resid = np.asarray(base.residuals, dtype=float)
     n_w = resid.size
     blocks = [resid[i:i + block_length] for i in range(0, n_w, block_length)]
-    ar, ma = _filter_polynomials(base.coefficients, order)
+    start = base.coefficients
+    ar, ma = _filter_polynomials(start, order)
     head = x[:order.d + order.D * order.s]
     n_blocks = len(blocks)
 
@@ -198,6 +202,6 @@ def block_bootstrap_ts(x, order: ModelOrder, method: str = "PMM2", B: int = 500,
             head, w_star, order.d, order.D, order.s)])
 
     return _bootstrap(param_names(order), base, draw,
-                      lambda x_star: fit_model(x_star, method, order),
+                      lambda x_star: _fit_series(method, x_star, order, start=start),
                       B, seed, level, keep_replicates, scheme="block", fit_method=method,
                       block_length=block_length)

@@ -34,7 +34,7 @@ __all__ = [
     "information_criteria",
 ]
 
-# Relative singular-value tolerance for the rank check.
+# Relative singular-value tolerance for the rank check, on unit-norm columns.
 RANK_RTOL = 1e-10
 _MAX_ITER = 200  # of the PMM2/PMM3 regression fitters
 
@@ -66,10 +66,18 @@ class DesignProblem:
         _require_finite("design matrix X", self.X)
         _require_finite("response y", self.y)
         q, r = np.linalg.qr(self.X)
-        sv = np.linalg.svd(r, compute_uv=False)  # X = QR has the singular values of R
+        # X = QR has the singular values and column norms of R.  The rank is
+        # checked on unit-norm columns (a zero column stays zero), whose
+        # condition number is at most sqrt(k) times X's (van der Sluis), so
+        # a design passing with that margin is not rescaled.
+        sv = np.linalg.svd(r, compute_uv=False)
+        if sv[-1] <= math.sqrt(k) * RANK_RTOL * sv[0]:
+            norms = np.sqrt((r * r).sum(axis=0))
+            sv = np.linalg.svd(r / np.where(norms > 0.0, norms, 1.0), compute_uv=False)
         if sv[-1] <= RANK_RTOL * sv[0]:
             raise SingularDesignError(
-                f"design is rank deficient (min/max singular value = {sv[-1]:.3e}/{sv[0]:.3e})")
+                f"design is rank deficient (min/max singular value of the unit-norm "
+                f"columns = {sv[-1]:.3e}/{sv[0]:.3e})")
         # P = R^-1 Q' (k x n): ``P @ v`` is the least-squares solution
         # (X'X)^-1 X' v, and R^-1 R^-T is (X'X)^-1
         self._rinv = np.linalg.solve(r, np.eye(k))

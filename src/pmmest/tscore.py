@@ -371,7 +371,9 @@ def minimize_qn(f, x0):
     estimator is defined as the local minimizer reached from the CSS start.
     Stops on gradient norm < 1e-8, relative objective change < 1e-12, or
     500 iterations, and unconverged on a non-finite gradient (a difference
-    point where ``f`` is infinite).
+    point where ``f`` is infinite).  The relative change is tested before the
+    new point's gradient is taken, so a run that stops on it ends with a call
+    of ``f`` at the returned point.
     """
     x = np.array(x0, dtype=float)
     fx = float(f(x))
@@ -409,6 +411,9 @@ def minimize_qn(f, x0):
             # no Armijo progress: finite-difference noise floor reached
             converged = gnorm <= 1e-5 * max(1.0, abs(fx))
             break
+        if abs(fx - fn) / max(1.0, abs(fx)) < 1e-12:
+            x, fx, converged = xn, fn, True
+            break
         gn = _central_difference(f, xn)
         s = xn - x
         yv = gn - g
@@ -418,11 +423,7 @@ def minimize_qn(f, x0):
             rho = 1.0 / sy
             V = eye - rho * (s[:, None] * yv)
             H = V @ H @ V.T + rho * (s[:, None] * s)
-        rel_drop = abs(fx - fn) / max(1.0, abs(fx))
         x, fx, g = xn, fn, gn
-        if rel_drop < 1e-12:
-            converged = True
-            break
     if not converged and float(np.max(np.abs(g))) <= 1e-5 * max(1.0, abs(fx)):
         converged = True
     return x, fx, converged
@@ -485,7 +486,9 @@ def _finish_ts_fit(method, x, w, vec, order, warns, converged, frozen=None) -> T
     """The fit of parameter vector ``vec``: its residuals, sum of squares and
     moments, or the capped objective of the (weights, moments) a two-stage fit
     froze when ``frozen`` gives them; g is the ``_SCORES[method]`` clamp of the
-    moments (1 for CSS)."""
+    moments (1 for CSS).  Non-finite coefficients are a FitFailureError."""
+    if not np.isfinite(vec).all():
+        raise FitFailureError(f"{method} fit reached non-finite coefficients")
     residuals = css_residuals(w, vec, order)
     score = _SCORES.get(method)
     if frozen is None:
@@ -493,7 +496,8 @@ def _finish_ts_fit(method, x, w, vec, order, warns, converged, frozen=None) -> T
         moments = _moments_or_none(residuals)
     else:
         weights, moments = frozen
-        objective = _capped(score, weights, moments.m2, residuals)
+        with np.errstate(over="ignore", invalid="ignore"):
+            objective = _capped(score, weights, moments.m2, residuals)
     g = score.clamp(moments, warns) if score is not None else 1.0
     _unit_region_warnings(vec, order, warns)
     return TsFit(method, order, TsParams.from_vector(vec, order), residuals, x, moments, g,
@@ -524,13 +528,13 @@ def _lag_design_fit(method, x, w, order) -> TsFit:
 
 def _capped(score, weights, m2: float, eps: np.ndarray) -> float:
     """``score.objective`` of residuals ``eps``; +inf where some e^2 exceeds
-    1e6 * m2 (residuals past 1000 sd flag an exploding recursion)."""
+    1e6 * m2 (residuals past 1000 sd flag an exploding recursion).  Callers
+    silence overflow and invalid-value warnings, once per optimizer run."""
     # max e^2 is the square of max |e|; NaN and inf fail the test as well
     a = float(np.abs(eps).max())
     if not a * a <= 1e6 * m2:
         return math.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        return score.objective(eps, weights, m2)
+    return score.objective(eps, weights, m2)
 
 
 def _newton_ar(score, weights, m2: float, w: np.ndarray,
@@ -591,18 +595,19 @@ def _newton_ar(score, weights, m2: float, w: np.ndarray,
 
 
 def _two_stage(method: str, x: np.ndarray, w: np.ndarray, order: ModelOrder,
-               css: TsFit | None = None) -> TsFit:
+               css: TsFit | None = None, start: np.ndarray | None = None) -> TsFit:
     """CSS fit, then the ``_SCORES[method]`` objective minimized from it with the
     CSS residual moments frozen; unusable moments return a copy of the CSS fit
     with a note.
 
     ``css`` is the CSS fit of the same ``x`` and ``order`` when the caller has
-    one; it is used in place of a new one and never modified.  Pure
-    nonseasonal AR orders without a mean (ARI(p,d,0) PMM2) are minimized by
-    ``_newton_ar``, any other order by ``minimize_qn``.
+    one; it is used in place of a new one and never modified.  Otherwise the
+    CSS fit starts from ``start`` (see ``_fit_series``).  Pure nonseasonal AR
+    orders without a mean (ARI(p,d,0) PMM2) are minimized by ``_newton_ar``,
+    any other order by ``minimize_qn``.
     """
     score = _SCORES[method]
-    base = fit_css(x, order) if css is None else css
+    base = _fit_series("CSS", x, order, start=start) if css is None else css
     if not base.converged:
         raise FitFailureError(f"CSS stage did not converge; {method} stage aborted")
     warns = list(base.warnings)
@@ -621,26 +626,28 @@ def _two_stage(method: str, x: np.ndarray, w: np.ndarray, order: ModelOrder,
             f"CSS residual moments leave the {method} weights undefined; returning CSS fit"])
     if score.symmetric and weights[0] < 0.0:
         warns.append(f"b1 < 0 (platykurtic residuals): {method} objective may be nonconvex")
-    if _is_pure_ar(order) and not order.include_mean:
-        vec, converged = _newton_ar(score, weights, mom.m2, w, base.coefficients)
-    else:
-        def objective(vec):
-            return _capped(score, weights, mom.m2, css_residuals(w, vec, order))
-
-        vec, _, converged = minimize_qn(objective, base.coefficients)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if _is_pure_ar(order) and not order.include_mean:
+            vec, converged = _newton_ar(score, weights, mom.m2, w, base.coefficients)
+        else:
+            vec, _, converged = minimize_qn(
+                lambda v: _capped(score, weights, mom.m2, css_residuals(w, v, order)),
+                base.coefficients)
     if not converged:
         warns.append(f"{method} optimizer did not converge")
     return _finish_ts_fit(method, x, w, vec, order, warns, converged, (weights, mom))
 
 
-def _fit_series(method: str, x, order: ModelOrder, css: TsFit | None = None) -> TsFit:
+def _fit_series(method: str, x, order: ModelOrder, css: TsFit | None = None,
+                start: np.ndarray | None = None) -> TsFit:
     """Fit ``order`` to ``x`` by "CSS", "PMM2" or "PMM3": the one time-series route.
 
     A pure nonseasonal AR order after differencing is the lag-design regression
     of the same method (OLS for CSS).  Any other CSS order is minimized by
-    quasi-Newton from a zero start (sample mean for the mean term); any other
-    PMM order is the two-stage fit from CSS, which starts from ``css`` (the
-    CSS fit of the same ``x`` and ``order``) when it is given.
+    quasi-Newton from ``start``, by default zero (sample mean for the mean
+    term), and white noise is not minimized.  Any other PMM order is the
+    two-stage fit from ``css`` (the CSS fit of the same ``x`` and ``order``)
+    when it is given, else from a CSS fit started at ``start``.
     """
     x = np.asarray(x, dtype=float)
     _require_finite("series", x)
@@ -652,19 +659,19 @@ def _fit_series(method: str, x, order: ModelOrder, css: TsFit | None = None) -> 
     if _lag_design_route(method, order):
         return _lag_design_fit(method, x, w, order)
     if method != "CSS":
-        return _two_stage(method, x, w, order, css)
-    start = np.zeros(order.n_params)
+        return _two_stage(method, x, w, order, css, start)
+    zero = np.zeros(order.n_params)
     if order.include_mean:
-        start[-1] = np.mean(w)
+        zero[-1] = np.mean(w)
     if order.p == 0 and order.q == 0 and order.P == 0 and order.Q == 0:
-        return _finish_ts_fit("CSS", x, w, start, order, [], True)
+        return _finish_ts_fit("CSS", x, w, zero, order, [], True)
 
     def objective(vec):
         eps = css_residuals(w, vec, order)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float((eps * eps).sum())
+        return float((eps * eps).sum())
 
-    vec, _, converged = minimize_qn(objective, start)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vec, _, converged = minimize_qn(objective, zero if start is None else start)
     warns = []
     if not converged:
         warns.append("CSS optimizer did not converge")

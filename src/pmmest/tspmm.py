@@ -43,7 +43,8 @@ def pmm2_objective(w, params: TsParams, order: ModelOrder, c: float, m2: float) 
     the residual recursion explodes, so Q is +inf past e^2 > 1e6 * m2: the
     objective the two-stage fit minimizes and reports.
     """
-    return _capped(_SCORES["PMM2"], (c,), m2, css_residuals(w, params, order))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _capped(_SCORES["PMM2"], (c,), m2, css_residuals(w, params, order))
 
 
 def fit_ar_pmm2(x, p: int, include_mean: bool = True) -> TsFit:

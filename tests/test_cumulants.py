@@ -23,7 +23,7 @@ from pmmest.errors import (
     MomentOverflowError,
     PmmError,
 )
-from pmmest.linmodel import fit_pmm2
+from pmmest.linmodel import build_design, fit_ols, fit_pmm2
 from pmmest.tscore import ModelOrder, ar_design_matrix
 from pmmest.tspmm import fit_ts_pmm2
 
@@ -103,6 +103,16 @@ class TestCentralMoments:
         # finite m2 whose cube leaves the float range
         with np.errstate(over="ignore"), pytest.raises(MomentOverflowError, match="overflow"):
             central_moments(np.array([-1e110, 0.0, 0.0, 1e110]))
+
+    @pytest.mark.parametrize("scale", [1e-55, 1e-160])
+    def test_underflowing_moments_raise_a_pmm_error(self, scale):
+        # m2 > 0 whose powers underflow to 0 made the cumulant divisions raise
+        # a bare ZeroDivisionError, from every entry point
+        x = np.random.default_rng(0).standard_normal(40) * scale
+        with pytest.raises(MomentOverflowError, match="underflow"):
+            central_moments(x)
+        with pytest.raises(MomentOverflowError, match="underflow"):
+            fit_ols(build_design(x, [np.arange(40.0)]))
 
     @pytest.mark.parametrize("fit", [
         lambda x: fit_ts_pmm2(x, ModelOrder(p=1)),

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import unconverged_css_series, unconverged_pmm2_problem
-from pmmest import inference, mcbench
+from pmmest import inference, mcbench, tscore
 from pmmest.errors import FitFailureError
 from pmmest.inference import block_bootstrap_ts, default_block_length, residual_bootstrap
 from pmmest.linmodel import build_design
@@ -29,26 +30,32 @@ def gamma_ar1(n=300, phi=0.7, seed=42):
     return simulate_arima(order, TsParams([phi], [], [], [], 0.0), eps, 150)
 
 
-def raise_after_base_fit(monkeypatch, module):
-    """Make every fit_model call in ``module`` after the first raise TypeError."""
-    real, calls = module.fit_model, []
+def raise_after_base_fit(monkeypatch, module, name="fit_model", base_fits=1):
+    """Make every call of ``module.<name>`` after the first ``base_fits`` raise TypeError."""
+    real, calls = getattr(module, name), []
 
-    def fit_model(*args, **kwargs):
+    def fit(*args, **kwargs):
         calls.append(args)
-        if len(calls) > 1:
+        if len(calls) > base_fits:
             raise TypeError("defect in a replicate refit")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(module, "fit_model", fit_model)
+    monkeypatch.setattr(module, name, fit)
 
 
-@pytest.mark.parametrize("run", [
-    lambda: residual_bootstrap(gamma_problem(), "PMM2", B=60, seed=0),
-    lambda: block_bootstrap_ts(gamma_ar1(n=200), ModelOrder(p=1), "CSS", B=60, seed=0),
-], ids=["residual", "block"])
-def test_refit_defect_propagates(monkeypatch, run):
+# Regression refits go through fit_model, after the base fit; block-bootstrap
+# refits go through _fit_series (started at the base estimate), which the
+# base fit does not call from inference.
+@pytest.mark.parametrize("run, name, base_fits", [
+    (lambda: residual_bootstrap(gamma_problem(), "PMM2", B=60, seed=0), "fit_model", 1),
+    (lambda: block_bootstrap_ts(gamma_ar1(n=200), ModelOrder(p=1), "CSS", B=60, seed=0),
+     "_fit_series", 0),
+    (lambda: block_bootstrap_ts(gamma_ar1(n=200), ModelOrder(p=1, q=1), "PMM2", B=60,
+                                seed=0), "_fit_series", 0),
+], ids=["residual", "block", "block_arma11"])
+def test_refit_defect_propagates(monkeypatch, run, name, base_fits):
     # only fit failures count as failed replicates; a TypeError is a defect
-    raise_after_base_fit(monkeypatch, inference)
+    raise_after_base_fit(monkeypatch, inference, name, base_fits)
     with pytest.raises(TypeError, match="defect in a replicate refit"):
         run()
 
@@ -83,47 +90,49 @@ def mc_replicates(_):
 
 
 # The one replicate rule, run against each driver that uses it: the module
-# whose fit_model the driver calls, the fits made before the first replicate,
-# the data maker and the run, which returns (failed count, kept estimates).
-REPLICATE_DRIVERS = pytest.mark.parametrize("module, base_fits, data, run", [
-    (inference, 1, gamma_problem, residual_replicates),
-    (inference, 1, lambda: gamma_ar1(n=200), block_replicates),
-    (mcbench, 0, lambda: None, mc_replicates),
+# and the function in it through which the replicates are refit, the calls
+# made on that function before the first replicate, the data maker and the
+# run, which returns (failed count, kept estimates).
+REPLICATE_DRIVERS = pytest.mark.parametrize("module, name, base_fits, data, run", [
+    (inference, "fit_model", 1, gamma_problem, residual_replicates),
+    (inference, "_fit_series", 0, lambda: gamma_ar1(n=200), block_replicates),
+    (mcbench, "fit_model", 0, lambda: None, mc_replicates),
 ], ids=["residual", "block", "monte_carlo"])
 
 
-def unconverge(monkeypatch, module, base_fits, replicates):
-    """Make fit_model in ``module`` return unconverged fits on the chosen replicates."""
-    real, calls = module.fit_model, []
+def unconverge(monkeypatch, module, name, base_fits, replicates):
+    """Make ``module.<name>`` return unconverged fits on the chosen replicates."""
+    real, calls = getattr(module, name), []
 
-    def fit_model(*args, **kwargs):
-        fit = real(*args, **kwargs)
+    def fit(*args, **kwargs):
+        result = real(*args, **kwargs)
         calls.append(args)
         if len(calls) - 1 - base_fits in replicates:
-            return dataclasses.replace(fit, converged=False)
-        return fit
+            return dataclasses.replace(result, converged=False)
+        return result
 
-    monkeypatch.setattr(module, "fit_model", fit_model)
+    monkeypatch.setattr(module, name, fit)
 
 
 @REPLICATE_DRIVERS
-def test_unconverged_replicates_dropped_and_counted(monkeypatch, module, base_fits, data, run):
+def test_unconverged_replicates_dropped_and_counted(monkeypatch, module, name, base_fits,
+                                                    data, run):
     data = data()
     n_failed, clean = run(data)
     assert n_failed == 0
-    unconverge(monkeypatch, module, base_fits, {1, 4, 6})
+    unconverge(monkeypatch, module, name, base_fits, {1, 4, 6})
     n_failed, kept = run(data)
     assert n_failed == 3
     assert np.array_equal(kept, np.delete(clean, [1, 4, 6], axis=0))
 
 
 @REPLICATE_DRIVERS
-def test_more_than_a_tenth_dropped_is_a_fit_failure(monkeypatch, module, base_fits, data,
-                                                     run):
+def test_more_than_a_tenth_dropped_is_a_fit_failure(monkeypatch, module, name, base_fits,
+                                                     data, run):
     data = data()
-    unconverge(monkeypatch, module, base_fits, set(range(6)))
+    unconverge(monkeypatch, module, name, base_fits, set(range(6)))
     assert run(data)[0] == 6
-    unconverge(monkeypatch, module, base_fits, set(range(7)))
+    unconverge(monkeypatch, module, name, base_fits, set(range(7)))
     with pytest.raises(FitFailureError, match="7/60"):
         run(data)
 
@@ -141,8 +150,8 @@ class BrokenRng:
 @REPLICATE_DRIVERS
 @pytest.mark.parametrize("error, expected", [(TypeError, TypeError),
                                              (FloatingPointError, FitFailureError)])
-def test_draw_errors_follow_the_replicate_rule(monkeypatch, module, base_fits, data, run,
-                                               error, expected):
+def test_draw_errors_follow_the_replicate_rule(monkeypatch, module, name, base_fits, data,
+                                               run, error, expected):
     # a fit failure while drawing drops the replicate (here every one, so the
     # run fails); a defect while drawing propagates
     data = data()
@@ -299,6 +308,35 @@ class TestBlockBootstrap:
         result = block_bootstrap_ts(x, order, method="PMM2", B=60, seed=4)
         assert result.n_failed <= 6
         assert result.std_error[0] > 0.0
+
+    @staticmethod
+    def assert_warm_start_changes_no_estimate(monkeypatch, x, order, method, seed):
+        # Refits of MA orders start CSS at the base estimate; started at zero,
+        # as a plain fit is, they must reach the same minima.
+        def run():
+            return block_bootstrap_ts(x, order, method, B=60, seed=seed, keep_replicates=True)
+
+        warm = run()
+        monkeypatch.setattr(inference, "_fit_series",
+                            lambda m, x_star, o, start=None: tscore._fit_series(m, x_star, o))
+        cold = run()
+        assert warm.n_failed == cold.n_failed
+        assert np.abs(warm.replicates - cold.replicates).max() <= 1e-6
+        assert not np.array_equal(warm.replicates, cold.replicates)  # the start was used
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_warm_started_arma11_pmm2_refits_match_cold_started(self, monkeypatch, seed):
+        x = np.loadtxt(Path(__file__).parent.parent / "data" / "ar1_gamma_sample.csv",
+                       skiprows=1)
+        self.assert_warm_start_changes_no_estimate(monkeypatch, x, ModelOrder(p=1, q=1),
+                                                   "PMM2", seed)
+
+    @pytest.mark.parametrize("method", ["CSS", "PMM3"])
+    def test_warm_started_ima11_refits_match_cold_started(self, monkeypatch, method):
+        order = ModelOrder(d=1, q=1)
+        eps = sample_innovations(InnovationSpec("gamma"), 200, np.random.default_rng(11))
+        x = simulate_arima(order, TsParams([], [0.4], [], [], 0.0), eps)
+        self.assert_warm_start_changes_no_estimate(monkeypatch, x, order, method, 0)
 
     def test_block_length_validation(self):
         x = gamma_ar1(n=100)

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import symmetric_orthogonal_errors, unconverged_pmm2_problem
@@ -57,6 +57,44 @@ class TestOls:
         X = np.column_stack([np.ones(10), x, 2.0 * x])
         with pytest.raises(SingularDesignError):
             DesignProblem(X, x)
+
+    @pytest.mark.parametrize("k", [10, 12, 50])
+    def test_rank_check_is_scale_free(self, k):
+        # a predictor 1e10 and more times its intercept's units was called
+        # rank deficient; the coefficients scale with it exactly
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal(100)
+        y = 1.0 + 2.0 * x + rng.gamma(2.0, 1.0, 100) - 2.0
+        base = fit_ols(build_design(y, [x])).coefficients
+        scaled = fit_ols(build_design(y, [x * 10.0**k])).coefficients
+        assert scaled * [1.0, 10.0**k] == pytest.approx(base, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4),
+           log_scales=st.lists(st.floats(-12.0, 12.0), min_size=4, max_size=4),
+           log_gap=st.floats(-16.0, 0.0))
+    def test_rank_verdict_is_that_of_unit_norm_columns(self, seed, k, log_scales, log_gap):
+        # the check on X itself only passes designs the unit-norm one passes
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((30, k))
+        X[:, -1] = X[:, 0] + 10.0**log_gap * X[:, -1]  # near-collinear when k > 1
+        X *= 10.0 ** np.array(log_scales[:k])
+        r = np.linalg.qr(X)[1]
+        sv = np.linalg.svd(r / np.sqrt((r * r).sum(axis=0)), compute_uv=False)
+        ratio = sv[-1] / sv[0] / linmodel.RANK_RTOL
+        assume(abs(ratio - 1.0) > 1e-6)
+        if ratio <= 1.0:
+            with pytest.raises(SingularDesignError, match="rank deficient"):
+                DesignProblem(X, rng.standard_normal(30))
+        else:
+            DesignProblem(X, rng.standard_normal(30))
+
+    def test_zero_column_is_rank_deficient(self):
+        X = np.column_stack([np.ones(10), np.arange(10.0), np.zeros(10)])
+        with pytest.raises(SingularDesignError):
+            DesignProblem(X, np.arange(10.0))
+        with pytest.raises(SingularDesignError):
+            DesignProblem(np.zeros((10, 1)), np.arange(10.0))
 
     def test_n_not_greater_than_k_raises(self):
         with pytest.raises(SingularDesignError):

@@ -359,7 +359,29 @@ class TestCssResiduals:
         assert eps[2:] == pytest.approx(reg_resid, abs=1e-12)
 
 
+def gamma_ar1_half(scale):
+    """A Gamma AR(1) series, phi = 0.5 and n = 300, times ``scale``."""
+    eps = np.random.default_rng(42).gamma(2.0, 1.0, 450) - 2.0
+    order = ModelOrder(p=1, include_mean=False)
+    return scale * simulate_arima(order, params_for(order, phi=[0.5]), eps, burnin=150)
+
+
 class TestFitCss:
+    @pytest.mark.parametrize("k", [10, 20, 50])
+    def test_ar1_with_mean_at_large_scales(self, k):
+        # the lag design's intercept and lag columns differ by the data scale;
+        # the rank check used to reject them from about 1e10
+        order = ModelOrder(p=1)
+        phi = fit_css(gamma_ar1_half(1.0), order).params.phi[0]
+        assert fit_css(gamma_ar1_half(10.0**k), order).params.phi[0] == pytest.approx(
+            phi, rel=1e-10)
+
+    def test_non_finite_coefficients_are_a_fit_failure(self):
+        # PMM3's weights overflow at this scale; the fit reached NaN and
+        # np.roots raised a bare LinAlgError
+        with pytest.raises(FitFailureError, match="non-finite coefficients"):
+            fit_ts_pmm3(gamma_ar1_half(1e50), ModelOrder(p=1))
+
     def test_ar1_recovery(self):
         rng = np.random.default_rng(42)
         order = ModelOrder(p=1)
@@ -467,6 +489,22 @@ class TestMinimizeQn:
             x, fx, converged = minimize_qn(f, x0)
         assert (x.tobytes(), fx, converged) == (x0.tobytes(), float(x0 @ x0), False)
         assert len(calls) == 3
+
+    def test_relative_drop_stop_takes_no_last_gradient(self):
+        # The offset makes the 1e-12 relative drop test fire while the gradient
+        # is still far above 1e-8; the run then ends on the accepted trial
+        # point, with no gradient taken there.
+        calls = []
+
+        def f(v):
+            calls.append(v.copy())
+            return 1e6 + float((v - 3.0) @ (v - 3.0))
+
+        x, fx, converged = minimize_qn(f, np.array([0.0, 1.0]))
+        assert converged
+        assert np.max(np.abs(x - 3.0)) > 1e-8  # not the gradient-norm stop
+        assert calls[-1].tobytes() == x.tobytes()
+        assert f(x) == fx
 
 
 class TestSimulate:
