@@ -98,8 +98,6 @@ def central_moments(x) -> MomentSet:
         raise InputTooShortError(f"need at least 4 observations, got {n}")
     mean = float(x.sum()) / n  # the bits of x.mean(), without its Python wrapper
     d = x - mean
-    # Products and BLAS dots, not d**k: numpy sends integer powers above 2
-    # through libm pow, about ten times the cost of a multiplication.
     d2 = d * d
     m2 = float(d2.sum() / (n - 1))
     # The mean of a constant vector can round away from its value, which leaves
@@ -108,10 +106,11 @@ def central_moments(x) -> MomentSet:
     if m2 == 0.0 or (m2 < 1e-20 * mean * mean and (x == x[0]).all()):
         return MomentSet(n, mean, 0.0, 0.0, 0.0, 0.0,
                          math.nan, math.nan, math.nan, degenerate=True)
-    d4 = d2 * d2
-    m3 = float(d2 @ d) / n
-    m4 = float(d4.sum()) / n
-    m6 = float(d4 @ d2) / n
+    if m2 * (n - 1) < 1e102:
+        m3, m4, m6 = _higher_moments(d, d2, n)
+    else:  # sum d^6 <= (sum d^2)^3 may overflow: inf moments, without numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            m3, m4, m6 = _higher_moments(d, d2, n)
     try:  # float powers raise on overflow, and divisions by one that underflowed to 0
         gamma3 = m3 / m2**1.5
         gamma4 = m4 / m2**2 - 3.0
@@ -120,6 +119,14 @@ def central_moments(x) -> MomentSet:
         raise MomentOverflowError(
             f"sample moments overflow or underflow the float range (m2 = {m2:g})") from None
     return MomentSet(n, mean, m2, m3, m4, m6, gamma3, gamma4, gamma6)
+
+
+def _higher_moments(d: np.ndarray, d2: np.ndarray, n: int) -> tuple[float, float, float]:
+    """m3, m4 and m6 of the deviations ``d`` from the mean, ``d2`` = d * d."""
+    # Products and BLAS dots, not d**k: numpy sends integer powers above 2
+    # through libm pow, about ten times the cost of a multiplication.
+    d4 = d2 * d2
+    return float(d2 @ d) / n, float(d4.sum()) / n, float(d4 @ d2) / n
 
 
 def _g2(gamma3: float, gamma4: float) -> tuple[float, str]:
@@ -230,6 +237,33 @@ def pmm3_weights(m2: float, m4: float, m6: float) -> tuple[float, float]:
     return b1, b3
 
 
+def _pmm2_objective(e, w, m2) -> float:
+    """sum of (0.5*e)*e + c*((e*e)*e/3 - m2*e), c = w[0], in two temporaries:
+    each in-place step is one operation of that expression, in its order."""
+    t = e * e
+    t *= e
+    t /= 3.0
+    u = e * m2
+    t -= u
+    t *= w[0]
+    np.multiply(e, 0.5, out=u)
+    u *= e
+    u += t
+    return float(u.sum())
+
+
+def _pmm3_objective(e, w, m2) -> float:
+    """sum of (0.5*b1)*e*e + (0.25*b3)*((e*e)*(e*e)), (b1, b3) = w, in two
+    temporaries, each in-place step one operation of that expression."""
+    t = e * e
+    q = t * t
+    q *= 0.25 * w[1]
+    np.multiply(e, 0.5 * w[0], out=t)
+    t *= e
+    t += q
+    return float(t.sum())
+
+
 @dataclass(frozen=True)
 class _Score:
     """One PMM polynomial score psi(e) with weight tuple w, for every PMM fitter."""
@@ -252,8 +286,7 @@ _SCORES = {
         lambda e, w, m2: e + w[0] * (e * e - m2),
         lambda e, w, m2: 1.0 + 2.0 * w[0] * e,
         lambda w, m2: 1.0,
-        lambda e, w, m2: float((0.5 * e * e + w[0] * (e * e * e / 3.0 - m2 * e)).sum()),
-        _clamped_g2, 4, False),
+        _pmm2_objective, _clamped_g2, 4, False),
     # psi = b1*e + b3*e^3, w = (b1, b3); E[psi'] = b1 + 3*b3*m2 = h' M^-1 h > 0
     # for a definite moment matrix M
     "PMM3": _Score(
@@ -261,6 +294,5 @@ _SCORES = {
         lambda e, w, m2: w[0] * e + w[1] * (e * e * e),
         lambda e, w, m2: w[0] + 3.0 * w[1] * (e * e),
         lambda w, m2: w[0] + 3.0 * w[1] * m2,
-        lambda e, w, m2: float((0.5 * w[0] * e * e + 0.25 * w[1] * ((e * e) * (e * e))).sum()),
-        _clamped_g3, 6, True),
+        _pmm3_objective, _clamped_g3, 6, True),
 }

@@ -23,7 +23,7 @@ import numpy as np
 from .dispatch import _REGRESSION_FITTERS, _method_name, fit_model  # noqa: F401
 from .errors import _REPLICATE_FAILURES, FitFailureError
 from .linmodel import DesignProblem, _check_level
-from .tscore import (ModelOrder, _filter_polynomials, _fit_series, _lfilter,
+from .tscore import (ModelOrder, _fit_series, _Layout, _lfilter, _refit_start,
                      integrate_forecast, param_names)
 
 __all__ = [
@@ -169,8 +169,10 @@ def block_bootstrap_ts(x, order: ModelOrder, method: str = "PMM2", B: int = 500,
     resampled with replacement and concatenated to the residual length, the
     fitted recursion is driven by the resampled residuals (then integrated
     when d + D > 0), and the model is refit per replicate.  A refit of an MA
-    or seasonal order starts its CSS stage at the base estimate; a PMM stage
-    starts, as in any fit, from the replicate's CSS fit.
+    or seasonal order starts its CSS stage at the base estimate (the mean term
+    at the replicate's sample mean), and both its quasi-Newton runs from the
+    base fit's curvature J'J, J the Jacobian of the base residuals; a PMM
+    stage starts, as in any fit, from the replicate's CSS fit.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
@@ -186,14 +188,16 @@ def block_bootstrap_ts(x, order: ModelOrder, method: str = "PMM2", B: int = 500,
     resid = np.asarray(base.residuals, dtype=float)
     n_w = resid.size
     blocks = [resid[i:i + block_length] for i in range(0, n_w, block_length)]
-    start = base.coefficients
-    ar, ma = _filter_polynomials(start, order)
+    ar, ma = _Layout(order).polynomials(base.coefficients)  # this draw's own arrays
     head = x[:order.d + order.D * order.s]
     n_blocks = len(blocks)
+    covering = -(-n_w // block_length)  # no fewer blocks can cover n_w
 
     def draw(rng):
-        parts, total = [], 0
-        while total < n_w:
+        # one call draws the same stream as `covering` scalar draws
+        parts = [blocks[i] for i in rng.integers(0, n_blocks, size=covering)]
+        total = sum(blk.size for blk in parts)
+        while total < n_w:  # a short trailing block was drawn
             blk = blocks[int(rng.integers(0, n_blocks))]
             parts.append(blk)
             total += blk.size
@@ -201,6 +205,7 @@ def block_bootstrap_ts(x, order: ModelOrder, method: str = "PMM2", B: int = 500,
         return np.concatenate([head, integrate_forecast(
             head, w_star, order.d, order.D, order.s)])
 
+    start = _refit_start(base)
     return _bootstrap(param_names(order), base, draw,
                       lambda x_star: _fit_series(method, x_star, order, start=start),
                       B, seed, level, keep_replicates, scheme="block", fit_method=method,

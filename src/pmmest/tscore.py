@@ -78,7 +78,7 @@ class ModelOrder:
         elif self.include_mean and self.d + self.D > 0:
             object.__setattr__(self, "include_mean", False)
 
-    @property
+    @functools.cached_property
     def n_params(self) -> int:
         return self.p + self.q + self.P + self.Q + int(self.include_mean)
 
@@ -95,8 +95,10 @@ class TsParams:
 
     def __post_init__(self):
         for name in ("phi", "theta", "Phi", "Theta"):
-            value = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            if value.ndim > 1:
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.ndim == 0:
+                value = value.reshape(1)
+            elif value.ndim > 1:
                 raise ValueError(f"{name} must be one-dimensional, got shape {value.shape}")
             setattr(self, name, value)
         self.mean = float(self.mean)
@@ -230,38 +232,49 @@ def integrate_forecast(history, diffs_forecast, d: int = 0, D: int = 0,
 # Lag polynomial expansion and the CSS recursion
 # ---------------------------------------------------------------------------
 
-def _lag_factor(coefs: np.ndarray, step: int, ma: bool) -> np.ndarray:
-    """1 - sum_k c_k B^{step k}, or 1 + sum_k c_k B^{step k} when ``ma``.
+_ONE = np.ones(1)
+_ONE.flags.writeable = False
 
-    The lag terms are 0 - c (c + 0 when ``ma``) rather than -c: a convolution
-    with [1.0] returns exactly these bits, signed zeros included, so a product
-    skips that convolution without changing a bit.
+
+class _Layout:
+    """Working storage of the residual recursion for one ModelOrder, built once
+    per fit: the slices of the ``TsParams.to_vector`` layout and the four lag
+    factors 1 - sum c_k B^{step k} (AR and seasonal AR) and 1 + sum c_k B^{step k}
+    (MA and seasonal MA), whose lag terms ``polynomials`` writes in place.
+
+    The lag terms are 0 - c (c + 0 for MA) rather than -c: a convolution with
+    [1.0] returns exactly these bits, signed zeros included, so the product
+    with an absent factor is the other factor itself.
     """
-    factor = np.zeros(1 + step * coefs.size)
-    factor[0] = 1.0
-    if ma:
-        np.add(coefs, 0.0, out=factor[step::step])
-    else:
-        np.subtract(0.0, coefs, out=factor[step::step])
-    return factor
 
+    def __init__(self, order: ModelOrder):
+        self.order = order
+        p, q, P, Q, s = order.p, order.q, order.P, order.Q, order.s
+        b, c = p + q, p + q + P
+        self.factors = []
+        self._writes = []  # (slice of the vector, lag terms it fills, ufunc)
+        for step, lo, hi, ufunc in ((1, 0, p, np.subtract), (s, b, c, np.subtract),
+                                    (1, p, b, np.add), (s, c, c + Q, np.add)):
+            factor = _ONE  # an absent factor is the constant 1, never written
+            if hi > lo:
+                factor = np.zeros(1 + step * (hi - lo))
+                factor[0] = 1.0
+                self._writes.append((slice(lo, hi), factor[step::step], ufunc))
+            self.factors.append(factor)
 
-def _lag_product(c: np.ndarray, C: np.ndarray, s: int, ma: bool) -> np.ndarray:
-    """Coefficients, leading 1 included, of (1 - sum c_j B^j)(1 - sum C_k B^{sk}),
-    or of (1 + sum c_j B^j)(1 + sum C_k B^{sk}) when ``ma``."""
-    prod = _lag_factor(c, 1, ma)
-    if C.size:
-        prod = np.convolve(prod, _lag_factor(C, s, ma))
-    return prod
-
-
-def _filter_polynomials(vec: np.ndarray, order: ModelOrder) -> tuple[np.ndarray, np.ndarray]:
-    """Full AR and MA polynomials (num, den) of a ``TsParams.to_vector`` vector,
-    leading 1 included: the residual recursion is ``lfilter(num, den, w - mean)``
-    and the ARMA simulation is ``lfilter(den, num, eps)``."""
-    phi, theta, Phi, Theta, _ = _split(vec, order)
-    return (_lag_product(phi, Phi, order.s, False),
-            _lag_product(theta, Theta, order.s, True))
+    def polynomials(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Full AR and MA polynomials (num, den) of a parameter vector of the
+        order's shape, leading 1 included, also kept as ``num`` and ``den``:
+        the residual recursion is ``lfilter(num, den, w - mean)`` and the ARMA
+        simulation is ``lfilter(den, num, eps)``.  Without a seasonal product
+        they are the layout's own arrays, rewritten by the next call: a caller
+        that keeps them uses a layout of its own."""
+        for part, lags, ufunc in self._writes:
+            ufunc(0.0, vec[part], out=lags)
+        ar, sar, ma, sma = self.factors
+        self.num = ar if sar.size == 1 else sar if ar.size == 1 else np.convolve(ar, sar)
+        self.den = ma if sma.size == 1 else sma if ma.size == 1 else np.convolve(ma, sma)
+        return self.num, self.den
 
 
 @functools.cache
@@ -301,7 +314,8 @@ def _lfilter(num, den, x) -> np.ndarray:
     return _linear_filter()(num, den, x, -1)
 
 
-def css_residuals(w, params: "TsParams | np.ndarray", order: ModelOrder) -> np.ndarray:
+def css_residuals(w, params: "TsParams | np.ndarray", order: ModelOrder,
+                  layout: _Layout | None = None) -> np.ndarray:
     """Conditional-sum-of-squares residual recursion on the differenced series.
 
     ``params`` is a TsParams or its parameter vector (``TsParams.to_vector``).
@@ -310,11 +324,18 @@ def css_residuals(w, params: "TsParams | np.ndarray", order: ModelOrder) -> np.n
     e_t = (w_t - mean) - sum_j a_j (w_{t-j} - mean) - sum_k b_k e_{t-k}, with
     presample w and e terms treated as zero and mean 0 without a mean term.
     Without MA terms the recursion is a finite convolution (numpy alone).
+
+    ``layout`` is a ``_Layout`` of ``order`` that a fit builds once and passes
+    on every evaluation; without one, the call builds its own.  Either way
+    the polynomials of ``params`` stay on the layout as ``num`` and ``den``.
     """
-    vec = params.to_vector(order) if isinstance(params, TsParams) else params
-    num, den = _filter_polynomials(vec, order)  # checks the vector's shape
-    z = np.asarray(w, dtype=float) - (vec[-1] if order.include_mean else 0.0)
-    return _lfilter(num, den, z)
+    vec = params.to_vector(order) if isinstance(params, TsParams) else np.asarray(params, float)
+    if vec.ndim != 1 or vec.size != order.n_params:
+        raise ValueError(f"expected a vector of {order.n_params} parameters, "
+                         f"got shape {vec.shape}")
+    num, den = (layout or _Layout(order)).polynomials(vec)
+    w = np.asarray(w, dtype=float)
+    return _lfilter(num, den, w - vec[-1] if order.include_mean else w)
 
 
 def ar_design_matrix(x, p: int, include_mean: bool = True) -> DesignProblem:
@@ -339,6 +360,11 @@ def ar_design_matrix(x, p: int, include_mean: bool = True) -> DesignProblem:
 # Quasi-Newton minimization
 # ---------------------------------------------------------------------------
 
+def _max_abs(a: np.ndarray) -> float:
+    """max |a|, NaN if ``a`` holds one, without the temporary of ``np.abs``."""
+    return float(max(a.max(), -a.min()))
+
+
 def _central_difference(f, x) -> np.ndarray:
     """Central differences of ``f`` along each coordinate of ``x`` with step
     1e-6 * max(1, |x_i|), one column per coordinate in a C-ordered array:
@@ -361,8 +387,12 @@ def _central_difference(f, x) -> np.ndarray:
     return grad if grad.ndim == 1 else np.ascontiguousarray(grad.T)
 
 
-def minimize_qn(f, x0):
+def minimize_qn(f, x0, H0=None):
     """Damped BFGS with central finite-difference gradients; returns (x, fun, converged).
+
+    ``H0`` is the initial inverse Hessian, by default the identity; the
+    iteration falls back to the identity wherever H's direction is not one of
+    descent.
 
     Line search is monotone (Armijo backtracking) and each iteration's step is
     capped at 0.1 * max(1, |x|_inf).  This keeps the iterates in the
@@ -381,11 +411,11 @@ def minimize_qn(f, x0):
         return x, fx, True
     n = x.size
     g = _central_difference(f, x)
-    eye = np.eye(n)  # never written in place, so H may share it
-    H = eye
+    eye = np.eye(n)  # never written in place, so H may share it, as with H0
+    H = eye if H0 is None else H0
     converged = False
     for _ in range(500):
-        gnorm = float(np.max(np.abs(g)))
+        gnorm = _max_abs(g)
         if gnorm < 1e-8:
             converged = True
             break
@@ -395,8 +425,8 @@ def minimize_qn(f, x0):
         if not np.isfinite(d).all() or float(d @ g) >= 0.0:
             H = eye
             d = -g
-        dnorm = float(np.max(np.abs(d)))
-        cap = 0.1 * max(1.0, float(np.max(np.abs(x))))
+        dnorm = _max_abs(d)
+        cap = 0.1 * max(1.0, _max_abs(x))
         alpha = min(1.0, cap / dnorm) if dnorm > 0.0 else 1.0
         slope = float(g @ d)
         accepted = False
@@ -424,7 +454,7 @@ def minimize_qn(f, x0):
             V = eye - rho * (s[:, None] * yv)
             H = V @ H @ V.T + rho * (s[:, None] * s)
         x, fx, g = xn, fn, gn
-    if not converged and float(np.max(np.abs(g))) <= 1e-5 * max(1.0, abs(fx)):
+    if not converged and _max_abs(g) <= 1e-5 * max(1.0, abs(fx)):
         converged = True
     return x, fx, converged
 
@@ -436,26 +466,26 @@ def minimize_qn(f, x0):
 def _min_series_length(order: ModelOrder, method: str) -> int:
     """One less than the observations a ``method`` fit of ``order`` needs: more
     than p + q + s(P + Q) + d + sD + 5, and on the lag-design route a design of
-    k columns with k + ``_SCORES[method].extra_obs`` rows (k + 1 for CSS)."""
+    k columns with k + ``_SCORES[method].extra_obs`` rows (k + 1 for CSS, and
+    for the CSS stage of an ARI(p,d,0) PMM2 fit)."""
     lags = order.p + order.d + order.D * order.s
     need = lags + order.q + order.s * (order.P + order.Q) + 5
-    if _lag_design_route(method, order):
-        score = _SCORES.get(method)
+    if _is_pure_ar(order):  # the lag design fits the order or its CSS stage
+        score = _SCORES.get(method) if _lag_design_route(method, order) else None
         rows = order.p + int(order.include_mean) + (score.extra_obs if score else 1)
         need = max(need, lags + rows - 1)
     return need
 
 
-def _unit_region_warnings(vec: np.ndarray, order: ModelOrder, warns: list[str]):
-    """Note an AR or MA polynomial of parameter vector ``vec``, 1 + sum c_l z^l,
-    with a root of modulus at most 1 + 1e-8.
+def _unit_region_warnings(num: np.ndarray, den: np.ndarray, warns: list[str]):
+    """Note an AR or MA polynomial (``num``, ``den`` of ``_Layout.polynomials``),
+    1 + sum c_l z^l, with a root of modulus at most 1 + 1e-8.
 
     If sum |c_l| (1 + 1e-8)^L < 1 - 1e-6 (L the degree, 0 for a constant) no
     such root exists, and ``np.roots`` is skipped; written as
     ``not bound < ...`` so that NaN coefficients still reach ``np.roots`` and
     raise there.
     """
-    num, den = _filter_polynomials(vec, order)
     for name, poly, region in (("AR", num, "non-stationary"), ("MA", den, "non-invertible")):
         bound = float(np.abs(poly[1:]).sum()) * (1.0 + 1e-8) ** (poly.size - 1)
         if not bound < 1.0 - 1e-6:
@@ -482,14 +512,16 @@ def _lag_design_route(method: str, order: ModelOrder) -> bool:
     return _is_pure_ar(order) and (method != "PMM2" or order.d + order.D == 0)
 
 
-def _finish_ts_fit(method, x, w, vec, order, warns, converged, frozen=None) -> TsFit:
-    """The fit of parameter vector ``vec``: its residuals, sum of squares and
-    moments, or the capped objective of the (weights, moments) a two-stage fit
-    froze when ``frozen`` gives them; g is the ``_SCORES[method]`` clamp of the
-    moments (1 for CSS).  Non-finite coefficients are a FitFailureError."""
+def _finish_ts_fit(method, x, w, vec, layout, warns, converged, frozen=None) -> TsFit:
+    """The fit of parameter vector ``vec`` of ``layout``'s order: its residuals,
+    sum of squares and moments, or the capped objective of the (weights,
+    moments) a two-stage fit froze when ``frozen`` gives them; g is the
+    ``_SCORES[method]`` clamp of the moments (1 for CSS).  Non-finite
+    coefficients are a FitFailureError."""
     if not np.isfinite(vec).all():
         raise FitFailureError(f"{method} fit reached non-finite coefficients")
-    residuals = css_residuals(w, vec, order)
+    order = layout.order
+    residuals = css_residuals(w, vec, order, layout)
     score = _SCORES.get(method)
     if frozen is None:
         objective = float((residuals * residuals).sum())
@@ -499,17 +531,18 @@ def _finish_ts_fit(method, x, w, vec, order, warns, converged, frozen=None) -> T
         with np.errstate(over="ignore", invalid="ignore"):
             objective = _capped(score, weights, moments.m2, residuals)
     g = score.clamp(moments, warns) if score is not None else 1.0
-    _unit_region_warnings(vec, order, warns)
+    _unit_region_warnings(layout.num, layout.den, warns)  # those of the residuals
     return TsFit(method, order, TsParams.from_vector(vec, order), residuals, x, moments, g,
                  objective, converged, warns)
 
 
-def _lag_design_fit(method, x, w, order) -> TsFit:
+def _lag_design_fit(method, x, w, layout) -> TsFit:
     """Fit a pure AR order by the ``method`` regression fitter (OLS for CSS) on
     the lag design of ``w``.
 
     The regression intercept c maps to the process mean c / (1 - sum(phi)).
     """
+    order = layout.order
     fitter = _REGRESSION_FITTERS["OLS" if method == "CSS" else method]
     rfit = fitter(ar_design_matrix(w, order.p, include_mean=order.include_mean))
     warns = list(rfit.warnings)
@@ -523,7 +556,7 @@ def _lag_design_fit(method, x, w, order) -> TsFit:
             mean = float(np.mean(w))
             warns.append("AR coefficients sum to ~1; mean set to the sample mean")
         vec = np.concatenate([phi, [mean]])
-    return _finish_ts_fit(method, x, w, vec, order, warns, rfit.converged)
+    return _finish_ts_fit(method, x, w, vec, layout, warns, rfit.converged)
 
 
 def _capped(score, weights, m2: float, eps: np.ndarray) -> float:
@@ -531,7 +564,7 @@ def _capped(score, weights, m2: float, eps: np.ndarray) -> float:
     1e6 * m2 (residuals past 1000 sd flag an exploding recursion).  Callers
     silence overflow and invalid-value warnings, once per optimizer run."""
     # max e^2 is the square of max |e|; NaN and inf fail the test as well
-    a = float(np.abs(eps).max())
+    a = _max_abs(eps)
     if not a * a <= 1e6 * m2:
         return math.inf
     return score.objective(eps, weights, m2)
@@ -549,12 +582,13 @@ def _newton_ar(score, weights, m2: float, w: np.ndarray,
     definite the step is the Z'Z (regression score) one.  Step cap and Armijo
     test are those of ``minimize_qn``, the explosion cap that of ``_capped``.
 
-    Stops when the step, or the Armijo backtracking, falls below 1e-12
-    relative, and is converged only if the Newton decrement r'H^-1 r (r the
-    gradient, measured in the Hessian's metric) is below 1e-10 of
-    max(|Q|, m * m2), m * m2 being about twice the objective at the CSS
-    start: a step that shrinks to nothing against the explosion cap is not
-    convergence.
+    Converged means that the Newton decrement r'H^-1 r (r the gradient,
+    measured in the Hessian's metric) is below 1e-10 of max(|Q|, m * m2),
+    m * m2 being about twice the objective at the CSS start.  Returns after
+    the full step (no cap, no backtracking) of a point where the decrement
+    met that tolerance, and where the step, or the Armijo backtracking, falls
+    below 1e-12 relative: a step that shrinks to nothing against the
+    explosion cap is not convergence.
     """
     m, p = w.size, phi0.size
     Z = np.zeros((m, p))
@@ -577,8 +611,8 @@ def _newton_ar(score, weights, m2: float, w: np.ndarray,
         if not math.isfinite(decrement):
             return phi, False
         converged = decrement <= 1e-10 * max(abs(f), m * m2)
-        size = max(1.0, float(np.max(np.abs(phi))))
-        dnorm = float(np.max(np.abs(d)))
+        size = max(1.0, _max_abs(phi))
+        dnorm = _max_abs(d)
         alpha = min(1.0, 0.1 * size / dnorm) if dnorm > 1e-12 * size else 0.0
         zd = Z @ d
         while alpha * dnorm > 1e-12 * size:
@@ -590,24 +624,28 @@ def _newton_ar(score, weights, m2: float, w: np.ndarray,
         else:  # the step, or what backtracking left of it, is below 1e-12
             return phi, converged
         phi = phi + alpha * d
+        if converged and alpha == 1.0:
+            return phi, True
         e, f = en, fn
     return phi, False
 
 
-def _two_stage(method: str, x: np.ndarray, w: np.ndarray, order: ModelOrder,
-               css: TsFit | None = None, start: np.ndarray | None = None) -> TsFit:
+def _two_stage(method: str, x: np.ndarray, w: np.ndarray, layout: _Layout,
+               css: TsFit | None = None, start: tuple | None = None) -> TsFit:
     """CSS fit, then the ``_SCORES[method]`` objective minimized from it with the
     CSS residual moments frozen; unusable moments return a copy of the CSS fit
     with a note.
 
-    ``css`` is the CSS fit of the same ``x`` and ``order`` when the caller has
+    ``css`` is the CSS fit of the same ``x`` and order when the caller has
     one; it is used in place of a new one and never modified.  Otherwise the
     CSS fit starts from ``start`` (see ``_fit_series``).  Pure nonseasonal AR
     orders without a mean (ARI(p,d,0) PMM2) are minimized by ``_newton_ar``,
-    any other order by ``minimize_qn``.
+    any other order by ``minimize_qn``, from the inverse Hessian
+    (E[psi'] J'J)^-1 when ``start`` carries the inverse of J'J.
     """
+    order = layout.order
     score = _SCORES[method]
-    base = _fit_series("CSS", x, order, start=start) if css is None else css
+    base = _css_fit(x, w, layout, start) if css is None else css
     if not base.converged:
         raise FitFailureError(f"CSS stage did not converge; {method} stage aborted")
     warns = list(base.warnings)
@@ -630,24 +668,58 @@ def _two_stage(method: str, x: np.ndarray, w: np.ndarray, order: ModelOrder,
         if _is_pure_ar(order) and not order.include_mean:
             vec, converged = _newton_ar(score, weights, mom.m2, w, base.coefficients)
         else:
+            inverse = None if start is None else start[1]
             vec, _, converged = minimize_qn(
-                lambda v: _capped(score, weights, mom.m2, css_residuals(w, v, order)),
-                base.coefficients)
+                lambda v: _capped(score, weights, mom.m2, css_residuals(w, v, order, layout)),
+                base.coefficients,
+                None if inverse is None else inverse / score.slope(weights, mom.m2))
     if not converged:
         warns.append(f"{method} optimizer did not converge")
-    return _finish_ts_fit(method, x, w, vec, order, warns, converged, (weights, mom))
+    return _finish_ts_fit(method, x, w, vec, layout, warns, converged, (weights, mom))
+
+
+def _css_fit(x: np.ndarray, w: np.ndarray, layout: _Layout,
+             start: tuple | None = None) -> TsFit:
+    """The CSS fit of ``w``, the differenced ``x``: the lag-design OLS fit of a
+    pure nonseasonal AR order, white noise as it is, and any other order by
+    quasi-Newton from ``start`` (see ``_fit_series``)."""
+    order = layout.order
+    if _is_pure_ar(order):
+        return _lag_design_fit("CSS", x, w, layout)
+    x0 = np.zeros(order.n_params) if start is None else np.array(start[0], dtype=float)
+    if order.include_mean:
+        x0[-1] = np.mean(w)
+    if order.p == 0 and order.q == 0 and order.P == 0 and order.Q == 0:
+        return _finish_ts_fit("CSS", x, w, x0, layout, [], True)
+
+    def objective(vec):
+        eps = css_residuals(w, vec, order, layout)
+        return float((eps * eps).sum())
+
+    H0 = None if start is None or start[1] is None else 0.5 * start[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        vec, _, converged = minimize_qn(objective, x0, H0)
+    warns = []
+    if not converged:
+        warns.append("CSS optimizer did not converge")
+    return _finish_ts_fit("CSS", x, w, vec, layout, warns, converged)
 
 
 def _fit_series(method: str, x, order: ModelOrder, css: TsFit | None = None,
-                start: np.ndarray | None = None) -> TsFit:
+                start: tuple | None = None) -> TsFit:
     """Fit ``order`` to ``x`` by "CSS", "PMM2" or "PMM3": the one time-series route.
 
     A pure nonseasonal AR order after differencing is the lag-design regression
     of the same method (OLS for CSS).  Any other CSS order is minimized by
-    quasi-Newton from ``start``, by default zero (sample mean for the mean
-    term), and white noise is not minimized.  Any other PMM order is the
+    quasi-Newton, and white noise is not minimized.  Any other PMM order is the
     two-stage fit from ``css`` (the CSS fit of the same ``x`` and ``order``)
-    when it is given, else from a CSS fit started at ``start``.
+    when it is given, else from a CSS fit of its own.
+
+    ``start``, private to refits near an earlier fit (``_refit_start``), is a
+    pair (vector, inverse of J'J or None) that only the quasi-Newton runs read:
+    the CSS run starts at the vector, with the mean term the sample mean as
+    from the default zero start, and both runs start from inverse Hessians
+    scaled from the inverse of J'J (the identity without it).
     """
     x = np.asarray(x, dtype=float)
     _require_finite("series", x)
@@ -656,26 +728,38 @@ def _fit_series(method: str, x, order: ModelOrder, css: TsFit | None = None,
         raise InputTooShortError(
             f"series length {x.size} too short for order requiring > {need} observations")
     w = difference(x, order.d, order.D, order.s)
+    layout = _Layout(order)
+    if method == "CSS":
+        return _css_fit(x, w, layout, start)
     if _lag_design_route(method, order):
-        return _lag_design_fit(method, x, w, order)
-    if method != "CSS":
-        return _two_stage(method, x, w, order, css, start)
-    zero = np.zeros(order.n_params)
-    if order.include_mean:
-        zero[-1] = np.mean(w)
-    if order.p == 0 and order.q == 0 and order.P == 0 and order.Q == 0:
-        return _finish_ts_fit("CSS", x, w, zero, order, [], True)
+        return _lag_design_fit(method, x, w, layout)
+    return _two_stage(method, x, w, layout, css, start)
 
-    def objective(vec):
-        eps = css_residuals(w, vec, order)
-        return float((eps * eps).sum())
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        vec, _, converged = minimize_qn(objective, zero if start is None else start)
-    warns = []
-    if not converged:
-        warns.append("CSS optimizer did not converge")
-    return _finish_ts_fit("CSS", x, w, vec, order, warns, converged)
+def _residual_jtj(fit: TsFit) -> np.ndarray:
+    """J'J, J the central-difference Jacobian of the CSS residuals of ``fit``'s
+    differenced series at its estimate."""
+    order = fit.order
+    w = difference(fit.original_series, order.d, order.D, order.s)
+    layout = _Layout(order)
+    J = _central_difference(lambda v: css_residuals(w, v, order, layout), fit.coefficients)
+    return J.T @ J
+
+
+def _refit_start(fit: TsFit) -> tuple | None:
+    """The ``start`` of ``_fit_series`` for refits near ``fit``: its estimate
+    and the inverse of J'J (``_residual_jtj``), None in place of the inverse
+    where Cholesky finds J'J not positive definite.  None for an order without
+    MA or seasonal terms, whose fits run no quasi-Newton."""
+    order = fit.order
+    if not (order.q or order.P or order.Q):
+        return None
+    jtj = _residual_jtj(fit)
+    try:
+        np.linalg.cholesky(jtj)
+    except np.linalg.LinAlgError:
+        return fit.coefficients, None
+    return fit.coefficients, np.linalg.inv(jtj)
 
 
 def fit_css(x, order: ModelOrder) -> TsFit:
@@ -706,7 +790,7 @@ def simulate_arima(order: ModelOrder, params: TsParams, innovations,
     _require_finite("innovations", eps)
     if burnin < 0 or burnin >= eps.size:
         raise ValueError(f"burnin={burnin} must be in [0, len(innovations))")
-    num, den = _filter_polynomials(vec, order)
+    num, den = _Layout(order).polynomials(vec)
     z = _lfilter(den, num, eps)[burnin:]
     if order.include_mean:
         z = z + params.mean
@@ -721,10 +805,6 @@ def ts_asymptotic_covariance(fit: TsFit) -> np.ndarray:
         raise FitFailureError("covariance requires a converged fit")
     if fit.moments is None:
         raise ValueError("covariance requires residual moments")
-    vec = fit.coefficients
-    if vec.size == 0:
+    if order.n_params == 0:
         return np.zeros((0, 0))
-    w = difference(fit.original_series, order.d, order.D, order.s)
-    J = _central_difference(lambda v: css_residuals(w, v, order), vec)
-    jtj = J.T @ J
-    return fit.g_coefficient * fit.moments.m2 * np.linalg.inv(jtj)
+    return fit.g_coefficient * fit.moments.m2 * np.linalg.inv(_residual_jtj(fit))

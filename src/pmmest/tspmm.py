@@ -19,8 +19,8 @@ from .tscore import (
     TsFit,
     TsParams,
     _capped,
-    _filter_polynomials,
     _fit_series,
+    _Layout,
     css_residuals,
     difference,
     integrate_forecast,
@@ -92,7 +92,7 @@ def forecast(fit: TsFit, horizon: int) -> np.ndarray:
         raise FitFailureError("forecast requires a converged fit")
     order = fit.order
     w = difference(fit.original_series, order.d, order.D, order.s)
-    num, den = _filter_polynomials(fit.coefficients, order)
+    num, den = _Layout(order).polynomials(fit.coefficients)
     # Lag weights oldest first, so step t is a dot with the p (q) values
     # before it; the p (q) leading zeros are the presample terms.
     a, b = -num[:0:-1], den[:0:-1]

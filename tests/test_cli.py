@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -428,3 +429,18 @@ class TestExitCodes:
         code = main(["fit", "--input", str(path), "--column", "y",
                      "--method", "css", "--order", "1,0,0"])
         assert code == 3
+
+
+def test_fit_on_data_near_1e100_prints_one_error_line(tmp_path, capsys):
+    # sum d^6 overflows: a fit error, without numpy's overflow warning first
+    path = tmp_path / "big.csv"
+    write_csv(path, ["y"], [(repr(float(v)),)
+                            for v in np.random.default_rng(0).standard_normal(40) * 1e100])
+    for extra in ([], ["--method", "css", "--order", "1,0,0"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["fit", "--input", str(path), "--column", "y", *extra])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("fit error: ") and err.count("\n") == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -25,8 +25,7 @@ from hypothesis import strategies as st
 from pmmest.tscore import (
     ModelOrder,
     TsParams,
-    _filter_polynomials,
-    _lag_product,
+    _Layout,
     css_residuals,
     integrate_forecast,
     simulate_arima,
@@ -229,7 +228,8 @@ def test_pure_ar_residuals_equal_lfilter_bit_for_bit(lfilter, order, n, scale_ex
     params = TsParams(rng.uniform(-0.95, 0.95, order.p), np.empty(0),
                       rng.uniform(-0.95, 0.95, order.P), np.empty(0),
                       rng.standard_normal() * 10.0**scale_exp if order.include_mean else 0.0)
-    num = _lag_product(params.phi, params.Phi, order.s, False)
+    num, den = _Layout(order).polynomials(params.to_vector(order))
+    assert den.tolist() == [1.0]
     expected = lfilter(num, [1.0], w - params.mean)
     assert css_residuals(w, params, order).tobytes() == expected.tobytes()
 
@@ -255,13 +255,10 @@ def test_iir_residuals_equal_lfilter_of_expanded_polynomials(lfilter, order, n, 
     params = TsParams(coefficients(order.p), coefficients(order.q),
                       coefficients(order.P), coefficients(order.Q),
                       rng.standard_normal() * 10.0**scale_exp if order.include_mean else 0.0)
-    a = _lag_product(params.phi, params.Phi, order.s, False)
-    b = _lag_product(params.theta, params.Theta, order.s, True)
+    a, b = _Layout(order).polynomials(params.to_vector(order))
     expected = lfilter(a, b, w - params.mean)
     assert css_residuals(w, params, order).tobytes() == expected.tobytes()
     assert css_residuals(w, params.to_vector(order), order).tobytes() == expected.tobytes()
-    num, den = _filter_polynomials(params.to_vector(order), order)
-    assert (num.tobytes(), den.tobytes()) == (a.tobytes(), b.tobytes())
 
 
 _sim_orders = st.builds(
@@ -278,7 +275,7 @@ def test_simulation_equals_lfilter_bit_for_bit(lfilter, order, n, scale_exp, see
     params = TsParams(*(rng.uniform(-0.95, 0.95, k) for k in (order.p, order.q, order.P, order.Q)),
                       rng.standard_normal() * 10.0**scale_exp)
     burnin = data.draw(st.integers(0, n - 1))
-    num, den = _filter_polynomials(params.to_vector(order), order)
+    num, den = _Layout(order).polynomials(params.to_vector(order))
     z = lfilter(den, num, eps)[burnin:]
     if order.include_mean:
         z = z + params.mean

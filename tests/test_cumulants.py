@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from pmmest.errors import (
     PmmError,
 )
 from pmmest.linmodel import build_design, fit_ols, fit_pmm2
-from pmmest.tscore import ModelOrder, ar_design_matrix
+from pmmest.tscore import ModelOrder, _capped, ar_design_matrix
 from pmmest.tspmm import fit_ts_pmm2
 
 # Exact central moments (m2, m4, m6) of symmetric reference laws.
@@ -121,10 +122,13 @@ class TestCentralMoments:
     def test_diverging_pmm2_iteration_raises_a_pmm_error(self, fit):
         # the fixed-point iteration diverges on these 7 values until the
         # residual moments overflow; a replicate loop counts a PmmError as a
-        # failed replicate, where a bare OverflowError would abort the run
+        # failed replicate, where a bare OverflowError would abort the run;
+        # the overflow is that error alone, without numpy's RuntimeWarning
         x = np.random.default_rng(23).standard_normal(8)[:7]
-        with pytest.warns(RuntimeWarning), pytest.raises(PmmError, match="overflow"):
-            fit(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PmmError, match="overflow"):
+                fit(x)
 
     @settings(max_examples=100, deadline=None)
     @given(value=st.floats(-1e100, 1e100), n=st.integers(4, 500))
@@ -306,3 +310,50 @@ class TestScores:
                                    rtol=1e-7, atol=1e-7)
         np.testing.assert_allclose(score.dpsi(e, weights, m2),
                                    (psi(e + h) - psi(e - h)) / (2.0 * h), rtol=1e-7, atol=1e-7)
+
+
+_OBJECTIVE_VALUES = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return (math.isnan(a) and math.isnan(b)) or np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestScoreObjectives:
+    """The in-place PMM objectives keep the bits of the expressions they replace."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(e=st.lists(_OBJECTIVE_VALUES, min_size=1, max_size=40),
+           c=_OBJECTIVE_VALUES, m2=st.floats(0.0, 1e300))
+    def test_pmm2_equals_the_expression(self, e, c, m2):
+        e = np.array(e)
+        with np.errstate(all="ignore"):
+            expected = float((0.5 * e * e + c * (e * e * e / 3.0 - m2 * e)).sum())
+            got = _SCORES["PMM2"].objective(e, (c,), m2)
+        assert _same_bits(got, expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(e=st.lists(_OBJECTIVE_VALUES, min_size=1, max_size=40),
+           b1=_OBJECTIVE_VALUES, b3=_OBJECTIVE_VALUES)
+    def test_pmm3_equals_the_expression(self, e, b1, b3):
+        e = np.array(e)
+        with np.errstate(all="ignore"):
+            expected = float((0.5 * b1 * e * e + 0.25 * b3 * ((e * e) * (e * e))).sum())
+            got = _SCORES["PMM3"].objective(e, (b1, b3), 1.0)
+        assert _same_bits(got, expected)
+
+    def test_pmm2_keeps_its_association_in_the_subnormal_range(self):
+        # (0.5*e)*e and 0.5*(e*e) round differently here
+        e = np.array([2.60321887e-161])
+        assert (0.5 * e) * e != 0.5 * (e * e)
+        assert _SCORES["PMM2"].objective(e, (0.0,), 0.0) == float(((0.5 * e) * e).sum())
+
+    @settings(max_examples=300, deadline=None)
+    @given(e=st.lists(_OBJECTIVE_VALUES, min_size=1, max_size=40), m2=st.floats(0.0, 1e300))
+    def test_capped_equals_the_abs_form(self, e, m2):
+        e = np.array(e)
+        with np.errstate(all="ignore"):
+            a = float(np.abs(e).max())
+            expected = (math.inf if not a * a <= 1e6 * m2
+                        else _SCORES["PMM2"].objective(e, (0.1,), m2))
+            assert _same_bits(_capped(_SCORES["PMM2"], (0.1,), m2, e), expected)

@@ -344,3 +344,49 @@ class TestBlockBootstrap:
             block_bootstrap_ts(x, ModelOrder(p=1), "CSS", B=60, block_length=1, seed=0)
         with pytest.raises(ValueError):
             block_bootstrap_ts(x, ModelOrder(p=1), "CSS", B=60, block_length=30, seed=0)
+
+
+class TestCurvatureStartedRefits:
+    BUNDLED = Path(__file__).parent.parent / "data" / "ar1_gamma_sample.csv"
+
+    @settings(max_examples=200, deadline=None)
+    @given(high=st.one_of(st.integers(6, 10_000), st.integers(2**31 - 5, 2**31 + 5)),
+           size=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+    def test_one_call_block_draws_equal_sequential_draws(self, high, size, seed):
+        one, seq = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert one.integers(0, high, size=size).tolist() == [
+            int(seq.integers(0, high)) for _ in range(size)]
+        assert int(one.integers(0, high)) == int(seq.integers(0, high))  # the stream goes on
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_replicates_match_identity_started_ones(self, monkeypatch, seed):
+        x = np.loadtxt(self.BUNDLED, skiprows=1)
+        order = ModelOrder(p=1, q=1)
+
+        def run():
+            return block_bootstrap_ts(x, order, "PMM2", B=100, seed=seed, keep_replicates=True)
+
+        curved = run()
+        monkeypatch.setattr(inference, "_refit_start", lambda fit: (fit.coefficients, None))
+        flat = run()
+        assert curved.n_failed == flat.n_failed
+        assert np.abs(curved.replicates - flat.replicates).max() <= 1e-6
+
+    def test_bundled_bootstrap_residual_evaluations(self, monkeypatch):
+        x = np.loadtxt(self.BUNDLED, skiprows=1)
+        calls = []
+        residuals = tscore.css_residuals
+        monkeypatch.setattr(tscore, "css_residuals",
+                            lambda *a, **k: calls.append(1) or residuals(*a, **k))
+        block_bootstrap_ts(x, ModelOrder(p=1, q=1), "PMM2", B=100, seed=0)
+        assert len(calls) <= 9_500  # 12,924 from an identity start
+
+    def test_badly_conditioned_base_still_refits(self):
+        # ARMA(1,1) of Gamma white noise: phi and theta nearly cancel
+        x = np.random.default_rng(2).gamma(2.0, 1.0, 150)
+        order = ModelOrder(p=1, q=1)
+        base = tscore.fit_css(x, order)
+        assert np.linalg.cond(tscore._residual_jtj(base)) > 1e8
+        result = block_bootstrap_ts(x, order, "CSS", B=50, seed=0)
+        assert result.n_failed <= 5
+        assert np.isfinite(result.std_error).all()

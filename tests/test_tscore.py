@@ -7,11 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import unconverged_css_series
+from pmmest import tscore
 from pmmest.errors import FitFailureError, InputTooShortError
 from pmmest.tscore import (
     ModelOrder,
     TsParams,
-    _lag_product,
+    _Layout,
     _unit_region_warnings,
     ar_design_matrix,
     css_residuals,
@@ -183,8 +184,18 @@ class TestArDesign:
             ar_design_matrix(np.arange(10.0), p=0)
 
 
+def _lag_product(c, C, s, ma):
+    """The AR polynomial of ``_Layout.polynomials``, leading 1 included, with
+    lag coefficients ``c`` and seasonal ones ``C`` at period ``s``; the MA one
+    when ``ma``."""
+    p, P = len(c), len(C)
+    order = ModelOrder(p=0 if ma else p, q=p if ma else 0, P=0 if ma else P,
+                       Q=P if ma else 0, s=s if P else 0, include_mean=False)
+    return _Layout(order).polynomials(np.concatenate([c, C]))[1 if ma else 0]
+
+
 class TestExpandPolynomial:
-    """``_lag_product``: the full lag polynomial, leading 1 included."""
+    """``_Layout.polynomials``: the full lag polynomial, leading 1 included."""
 
     def test_seasonal_cross_term(self):
         out = _lag_product(np.array([0.5]), np.array([0.3]), 12, False)
@@ -298,7 +309,7 @@ class TestUnitRegionWarnings:
                             Phi=-_lag_coefficients(rng, P, "plain", 0.0) * 0.5,
                             Theta=_lag_coefficients(rng, Q, "plain", 0.0) * 0.5)
         warns = []
-        _unit_region_warnings(params.to_vector(order), order, warns)
+        _unit_region_warnings(*_Layout(order).polynomials(params.to_vector(order)), warns)
         assert warns == _unit_region_reference(params, order)
 
     @pytest.mark.parametrize("field", ["phi", "theta", "Phi", "Theta"])
@@ -309,7 +320,7 @@ class TestUnitRegionWarnings:
         with pytest.raises(Exception) as ref:
             _unit_region_reference(params, order)
         with pytest.raises(ref.type, match=re.escape(str(ref.value))):
-            _unit_region_warnings(params.to_vector(order), order, [])
+            _unit_region_warnings(*_Layout(order).polynomials(params.to_vector(order)), [])
 
 
 class TestCssResiduals:
@@ -539,3 +550,101 @@ class TestSimulate:
         eps = css_residuals(w, params_for(order0, phi=[0.4]), order0)
         assert np.isfinite(eps).all()
         assert w.size == x.size - 4
+
+
+_layout_orders = st.builds(
+    lambda p, q, P, Q, s, d, mean: ModelOrder(p=p, q=q, P=P if s else 0, Q=Q if s else 0,
+                                              s=s, d=d, include_mean=mean),
+    st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+    st.sampled_from([0, 4, 12]), st.integers(0, 1), st.booleans())
+
+
+class TestLayout:
+    """``_Layout``: one per fit, its polynomials written in place."""
+
+    @staticmethod
+    def reference_residuals(w, vec, order):
+        # the reference expansion of both polynomials, then the one filter
+        phi, theta, Phi, Theta, mean = tscore._split(vec, order)
+        num = np.concatenate([[1.0], -_expand_reference(phi, Phi, order.s)])
+        den = np.concatenate([[1.0], -_expand_reference(-theta, -Theta, order.s)])
+        return tscore._lfilter(num, den, w - mean)
+
+    @settings(max_examples=300, deadline=None)
+    @given(order=_layout_orders, n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+    def test_residuals_equal_reference_expansion_bit_for_bit(self, order, n, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal(n)
+        pool = np.array([0.0, -0.0, 0.5, -0.25, 1e-300, -0.9])
+
+        def draw():
+            return rng.choice(pool, order.n_params) * rng.uniform(0.5, 1.0, order.n_params)
+
+        v1, v2 = draw(), draw()
+        kept = _Layout(order).polynomials(v1)  # a caller that keeps them owns them
+        kept_bytes = [a.tobytes() for a in kept]
+        layout = _Layout(order)
+        e1 = css_residuals(w, v1, order, layout)
+        e2 = css_residuals(w, v2, order, layout)
+        assert e1.tobytes() == self.reference_residuals(w, v1, order).tobytes()
+        assert e2.tobytes() == self.reference_residuals(w, v2, order).tobytes()
+        assert css_residuals(w, v2, order).tobytes() == e2.tobytes()
+        assert [a.tobytes() for a in kept] == kept_bytes
+
+    def test_wrong_shape_is_a_value_error(self):
+        order = ModelOrder(p=1, q=1)
+        layout = _Layout(order)
+        for bad in (np.zeros(2), np.zeros((1, 3))):
+            with pytest.raises(ValueError, match="expected a vector of 3 parameters, got shape"):
+                css_residuals(np.ones(10), bad, order, layout)
+
+    def test_a_fit_builds_its_polynomials_once(self, monkeypatch):
+        calls = []
+        polynomials = _Layout.polynomials
+        monkeypatch.setattr(_Layout, "polynomials",
+                            lambda self, vec: calls.append(1) or polynomials(self, vec))
+        fit_css(np.random.default_rng(2).standard_normal(200), ModelOrder(p=1))
+        assert len(calls) == 1
+
+
+class TestRefitStart:
+    def fit(self):
+        order = ModelOrder(p=1, q=1)
+        x = simulate_arima(order, params_for(order, phi=[0.5], theta=[0.3], mean=1.0),
+                           np.random.default_rng(8).gamma(2.0, 1.0, 200) - 2.0)
+        return fit_css(x, order)
+
+    def test_inverse_of_jtj(self):
+        fit = self.fit()
+        vec, inverse = tscore._refit_start(fit)
+        assert vec.tobytes() == fit.coefficients.tobytes()
+        assert inverse @ tscore._residual_jtj(fit) == pytest.approx(np.eye(3), abs=1e-9)
+
+    @pytest.mark.parametrize("jtj", [np.ones((3, 3)), np.diag([1.0, -1.0, 1.0])])
+    def test_identity_where_cholesky_fails(self, monkeypatch, jtj):
+        fit = self.fit()
+        monkeypatch.setattr(tscore, "_residual_jtj", lambda f: jtj)
+        start = tscore._refit_start(fit)
+        assert start[1] is None
+        seen = []
+        qn = tscore.minimize_qn
+        monkeypatch.setattr(tscore, "minimize_qn",
+                            lambda f, x0, H0=None: seen.append(H0) or qn(f, x0, H0))
+        refit = tscore._fit_series("PMM2", fit.original_series, fit.order, start=start)
+        assert refit.converged and seen == [None, None]
+
+    def test_no_start_for_orders_without_quasi_newton(self):
+        fit = fit_css(np.random.default_rng(2).standard_normal(200), ModelOrder(p=1))
+        assert tscore._refit_start(fit) is None
+
+    def test_curvature_scales_the_initial_inverse_hessian(self, monkeypatch):
+        fit = self.fit()
+        start = tscore._refit_start(fit)
+        seen = []
+        qn = tscore.minimize_qn
+        monkeypatch.setattr(tscore, "minimize_qn",
+                            lambda f, x0, H0=None: seen.append(H0) or qn(f, x0, H0))
+        refit = tscore._fit_series("PMM2", fit.original_series, fit.order, start=start)
+        assert refit.converged
+        assert seen[0].tobytes() == (0.5 * start[1]).tobytes()  # (2 J'J)^-1, CSS stage
+        assert seen[1].tobytes() == (start[1] / 1.0).tobytes()  # PMM2's E[psi'] is 1

@@ -457,7 +457,7 @@ def forecast_by_lags(fit, horizon):
     """Reference forecasts: the recursion written as a loop over every lag."""
     order = fit.order
     w = difference(fit.original_series, order.d, order.D, order.s)
-    num, den = tscore._filter_polynomials(fit.coefficients, order)
+    num, den = tscore._Layout(order).polynomials(fit.coefficients)
     a, b = -num[1:], den[1:]
     z = list(w - fit.params.mean)
     eps = list(fit.residuals)
@@ -496,3 +496,27 @@ def test_forecast_matches_the_lag_loop(order, coefs):
     for horizon in {1, max(span - 1, 1), span + 7}:
         np.testing.assert_allclose(forecast(fit, horizon), forecast_by_lags(fit, horizon),
                                    rtol=1e-12, atol=0.0)
+
+
+class TestNewtonStop:
+    @pytest.mark.parametrize("n", [100, 500])
+    def test_full_step_at_tolerance_ends_the_iteration(self, n):
+        # Newton from the returned phi moves it by the step the stopping rule
+        # skips; the frozen objective stays at or below the CSS one
+        order = ModelOrder(p=1, d=1)
+        score = _SCORES["PMM2"]
+        for seed in range(20):
+            eps = sample_innovations(InnovationSpec("gamma"), n, np.random.default_rng(seed))
+            x = simulate_arima(order, TsParams([0.5], [], [], [], 0.0), eps)
+            css = fit_css(x, order)
+            w = difference(x, 1)
+            weights = score.weights(css.moments)
+            m2 = css.moments.m2
+            with np.errstate(over="ignore", invalid="ignore"):
+                phi, converged = tscore._newton_ar(score, weights, m2, w, css.coefficients)
+                again, _ = tscore._newton_ar(score, weights, m2, w, phi)
+                assert converged
+                assert np.abs(again - phi).max() <= 1e-9 * max(1.0, np.abs(phi).max())
+                q = [_capped(score, weights, m2, css_residuals(w, v, order))
+                     for v in (phi, css.coefficients)]
+            assert q[0] <= q[1]
