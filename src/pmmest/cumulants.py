@@ -85,8 +85,9 @@ def central_moments(x) -> MomentSet:
     The variance m2 has the unbiased n - 1 denominator; the higher moments
     have denominator n.
 
-    Raises MomentOverflowError when the standardized cumulants leave the
-    float range: powers of m2 that overflow, as for the residuals of a
+    Raises MomentOverflowError when the moments or the standardized
+    cumulants leave the float range: a sum of squares that overflows, as for
+    data near 1e160, powers of m2 that overflow, as for the residuals of a
     diverging iteration, or that underflow to 0, as for data with an sd of
     about 1e-54 or less.
     """
@@ -98,6 +99,8 @@ def central_moments(x) -> MomentSet:
         raise InputTooShortError(f"need at least 4 observations, got {n}")
     mean = float(x.sum()) / n  # the bits of x.mean(), without its Python wrapper
     d = x - mean
+    if np.vdot(d, d) == math.inf:  # d * d overflows too, after numpy's warning
+        raise MomentOverflowError("sample moments overflow the float range (m2 = inf)")
     d2 = d * d
     m2 = float(d2.sum() / (n - 1))
     # The mean of a constant vector can round away from its value, which leaves

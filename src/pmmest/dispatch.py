@@ -75,16 +75,6 @@ def fit_model(data, method: str, order: ModelOrder | None = None):
     return _TS_FITTERS[_method_name(method, False)](data, order)
 
 
-def _refit_from_css(css_fit: TsFit, method: str) -> TsFit:
-    """``fit_model(css_fit.original_series, method, css_fit.order)`` bit for
-    bit, with ``css_fit`` as its CSS stage instead of a new CSS fit ("css"
-    returns ``css_fit`` itself), so a series is fit by CSS once."""
-    key = _method_name(method, False)
-    if key == "CSS":
-        return css_fit
-    return _fit_series(key, css_fit.original_series, css_fit.order, css=css_fit)
-
-
 @dataclass(frozen=True)
 class DispatchConfig:
     skew_threshold: float = 0.3
@@ -159,11 +149,11 @@ def render_decision(decision: DispatchDecision) -> str:
             f"  >>> {decision.rationale}")
 
 
-def _scan_ar_order(x, max_p: int = 5) -> TsFit:
-    """The CSS fit of the AR order (p <= max_p) minimizing its AIC, among the
+def _scan_ar_order(x) -> TsFit:
+    """The CSS fit of the AR order (p <= 5) minimizing its AIC, among the
     orders PMM3, the method needing the most observations, can refit."""
     best = None
-    for p in range(max_p + 1):
+    for p in range(6):
         if x.size <= _min_series_length(ModelOrder(p=p), "PMM3"):
             break
         fit = fit_css(x, ModelOrder(p=p))
@@ -193,6 +183,6 @@ def dispatch_fit(data, *, config: DispatchConfig | None = None,
     decision = select_method(base.residuals, config)
     if decision.method == "OLS_CSS":
         return decision, base
-    if isinstance(base, TsFit):
-        return decision, _refit_from_css(base, decision.method)
+    if isinstance(base, TsFit):  # the PMM stage starts from this CSS fit
+        return decision, _fit_series(decision.method, data, base.order, css=base)
     return decision, fit_model(data, decision.method)

@@ -189,6 +189,7 @@ def block_bootstrap_ts(x, order: ModelOrder, method: str = "PMM2", B: int = 500,
     n_w = resid.size
     blocks = [resid[i:i + block_length] for i in range(0, n_w, block_length)]
     ar, ma = _Layout(order).polynomials(base.coefficients)  # this draw's own arrays
+    mean = base.params.mean
     head = x[:order.d + order.D * order.s]
     n_blocks = len(blocks)
     covering = -(-n_w // block_length)  # no fewer blocks can cover n_w
@@ -201,7 +202,7 @@ def block_bootstrap_ts(x, order: ModelOrder, method: str = "PMM2", B: int = 500,
             blk = blocks[int(rng.integers(0, n_blocks))]
             parts.append(blk)
             total += blk.size
-        w_star = _lfilter(ma, ar, np.concatenate(parts)[:n_w]) + base.params.mean
+        w_star = _lfilter(ma, ar, np.concatenate(parts)[:n_w]) + mean
         return np.concatenate([head, integrate_forecast(
             head, w_star, order.d, order.D, order.s)])
 

@@ -72,8 +72,10 @@ class DesignProblem:
         # a design passing with that margin is not rescaled.
         sv = np.linalg.svd(r, compute_uv=False)
         if sv[-1] <= math.sqrt(k) * RANK_RTOL * sv[0]:
-            norms = np.sqrt((r * r).sum(axis=0))
-            sv = np.linalg.svd(r / np.where(norms > 0.0, norms, 1.0), compute_uv=False)
+            # each column scaled by a power of two (exact), so its squares stay finite
+            u = np.ldexp(r, -np.frexp(np.abs(r).max(axis=0))[1])
+            norms = np.sqrt((u * u).sum(axis=0))
+            sv = np.linalg.svd(u / np.where(norms > 0.0, norms, 1.0), compute_uv=False)
         if sv[-1] <= RANK_RTOL * sv[0]:
             raise SingularDesignError(
                 f"design is rank deficient (min/max singular value of the unit-norm "
@@ -119,9 +121,11 @@ class RegressionFit:
     converged: bool
     warnings: list[str] = field(default_factory=list)
 
-    @property
-    def n_params(self) -> int:
-        return int(self.coefficients.size)
+
+def _extra_rows(method: str) -> int:
+    """Rows a ``method`` fit needs beyond its k coefficients: 1 (n > k) for OLS and CSS."""
+    score = _SCORES.get(method)
+    return score.extra_obs if score else 1
 
 
 def _moments_or_none(residuals) -> MomentSet | None:
@@ -150,9 +154,9 @@ def _fit_polynomial(method: str, problem: DesignProblem, tol: float) -> Regressi
     and the ``_SCORES[method]`` weights refreshed from each step's residual moments
     (the fallback where undefined)."""
     score = _SCORES[method]
-    if problem.n < problem.k + score.extra_obs:
-        raise InputTooShortError(
-            f"need n >= k + {score.extra_obs}, got n = {problem.n}, k = {problem.k}")
+    extra = _extra_rows(method)
+    if problem.n < problem.k + extra:
+        raise InputTooShortError(f"need n >= k + {extra}, got n = {problem.n}, k = {problem.k}")
     proj = problem._proj
     beta = proj @ problem.y  # OLS start
     # the residuals and moments of the current iterate, computed once per step
@@ -246,7 +250,7 @@ def information_criteria(fit) -> tuple[float, float, float]:
     """
     residuals = np.asarray(fit.residuals, dtype=float)
     n = residuals.size
-    k = fit.n_params
+    k = fit.coefficients.size
     rss = float(np.sum(residuals * residuals))
     if rss == 0.0 or n == 0:
         _warnings.warn("zero residual variance; log-likelihood is infinite",

@@ -22,14 +22,14 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .cumulants import _SCORES, CumulantProfile, g2_coefficient, g3_coefficient
-from .dispatch import _method_name, _refit_from_css, fit_model
+from .cumulants import CumulantProfile, g2_coefficient, g3_coefficient
+from .dispatch import _method_name, fit_model
 from .errors import InputTooShortError
 from .inference import _check_failures, _converged, _replicates
-from .linmodel import DesignProblem, asymptotic_covariance
+from .linmodel import DesignProblem, _extra_rows, asymptotic_covariance
 from .tscore import (
     ModelOrder,
-    TsParams,
+    _fit_series,
     _min_series_length,
     param_names,
     simulate_arima,
@@ -254,8 +254,7 @@ def _check_length(spec: McSpec, method: str):
     if spec.order is not None:
         need = _min_series_length(spec.order, method.upper())
     else:
-        k = len(spec.theta)
-        need = max(3, k if method == "ols" else k + _SCORES[method.upper()].extra_obs - 1)
+        need = max(3, len(spec.theta) + _extra_rows(method.upper()) - 1)
     if spec.n <= need:
         raise InputTooShortError(f"spec {spec.label!r}: n = {spec.n} is too short for "
                                  f"{method}, which needs n > {need}")
@@ -268,15 +267,14 @@ def _simulate_spec(spec: McSpec, rng: "np.random.Generator"):
         X = np.column_stack([np.ones(spec.n)] + cols)
         return DesignProblem(X, X @ np.asarray(spec.theta) + eps, _spec_param_names(spec))
     eps = sample_innovations(spec.innovations, spec.n + spec.burnin, rng)
-    params = TsParams.from_vector(np.asarray(spec.theta), spec.order)
-    return simulate_arima(spec.order, params, eps, spec.burnin)
+    return simulate_arima(spec.order, np.asarray(spec.theta), eps, spec.burnin)
 
 
 def _fit_method(spec: McSpec, method: str, data, z: float, css=None):
     """Fit one method, from the replicate's CSS fit ``css`` when one is given;
     return (estimates, covered-indicator vector)."""
     fit = _converged(fit_model(data, method, spec.order) if css is None
-                     else _refit_from_css(css, method))
+                     else _fit_series(_method_name(method, False), data, spec.order, css=css))
     if spec.order is None:
         cov = asymptotic_covariance(fit, data)
     else:
@@ -295,8 +293,8 @@ def _replicate_chunk(args):
     starts from that fit, so CSS runs once per replicate; a replicate is
     dropped when any method fails, so the fitting order changes nothing."""
     from statistics import NormalDist
-    spec, methods, level, seeds = args
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
+    spec, methods, seeds = args
+    z = NormalDist().inv_cdf(0.975)  # intervals of nominal 95% coverage
 
     def refit(data):
         css = _converged(fit_model(data, "css", spec.order)) if "css" in methods else None
@@ -305,8 +303,7 @@ def _replicate_chunk(args):
     return _replicates(seeds, lambda rng: _simulate_spec(spec, rng), refit)
 
 
-def run_monte_carlo(specs, methods, n_sim: int, seed: int = 0,
-                    level: float = 0.95, n_jobs: int = 1):
+def run_monte_carlo(specs, methods, n_sim: int, seed: int = 0, n_jobs: int = 1):
     """Simulate and fit every spec x method; return (results, McSummary).
 
     ``methods`` are METHODS names; "ols" and "css" both mean the baseline of
@@ -337,12 +334,12 @@ def run_monte_carlo(specs, methods, n_sim: int, seed: int = 0,
         if n_jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
             chunk_size = max(1, math.ceil(n_sim / (n_jobs * 4)))
-            chunks = [(spec, spec_methods, level, rep_seeds[i:i + chunk_size])
+            chunks = [(spec, spec_methods, rep_seeds[i:i + chunk_size])
                       for i in range(0, n_sim, chunk_size)]
             with ProcessPoolExecutor(max_workers=n_jobs) as pool:
                 payloads = [p for part in pool.map(_replicate_chunk, chunks) for p in part]
         else:
-            payloads = _replicate_chunk((spec, spec_methods, level, rep_seeds))
+            payloads = _replicate_chunk((spec, spec_methods, rep_seeds))
         keep = np.array([p is not None for p in payloads])
         failed = n_sim - int(keep.sum())
         _check_failures(failed, n_sim, f"replicates of spec {spec.label!r}")

@@ -31,7 +31,7 @@ from .errors import (
     InputTooShortError,
     _require_finite,
 )
-from .linmodel import _REGRESSION_FITTERS, DesignProblem, _moments_or_none, build_design
+from .linmodel import _REGRESSION_FITTERS, DesignProblem, _extra_rows, _moments_or_none, build_design
 
 __all__ = [
     "ModelOrder",
@@ -122,13 +122,19 @@ class TsParams:
         return cls(*_split(vec, order))
 
 
-def _split(vec, order: ModelOrder) -> tuple:
-    """(phi, theta, Phi, Theta, mean) of a vector in the ``TsParams.to_vector``
-    layout (mean 0.0 without a mean term); ValueError for any other shape."""
-    vec = np.asarray(vec, dtype=float)
+def _vector(params: "TsParams | np.ndarray", order: ModelOrder) -> np.ndarray:
+    """The ``to_vector`` layout of a TsParams or a vector; ValueError for any other shape."""
+    vec = params.to_vector(order) if isinstance(params, TsParams) else np.asarray(params, float)
     if vec.ndim != 1 or vec.size != order.n_params:
         raise ValueError(f"expected a vector of {order.n_params} parameters, "
                          f"got shape {vec.shape}")
+    return vec
+
+
+def _split(vec, order: ModelOrder) -> tuple:
+    """(phi, theta, Phi, Theta, mean) of a vector in the ``TsParams.to_vector``
+    layout (mean 0.0 without a mean term); ValueError for any other shape."""
+    vec = _vector(vec, order)
     b, c = order.p + order.q, order.p + order.q + order.P
     return (vec[:order.p], vec[order.p:b], vec[b:c], vec[c:c + order.Q],
             vec[-1] if order.include_mean else 0.0)
@@ -148,7 +154,7 @@ def param_names(order: ModelOrder) -> list[str]:
 class TsFit:
     method: str  # "CSS" | "PMM2" | "PMM3"
     order: ModelOrder
-    params: TsParams
+    coefficients: np.ndarray  # the ``TsParams.to_vector`` layout; ``params`` splits it
     residuals: np.ndarray
     original_series: np.ndarray
     moments: MomentSet | None
@@ -162,12 +168,8 @@ class TsFit:
         self.warnings = list(dict.fromkeys(self.warnings))
 
     @property
-    def n_params(self) -> int:
-        return self.order.n_params
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return self.params.to_vector(self.order)
+    def params(self) -> TsParams:
+        return TsParams.from_vector(self.coefficients, self.order)
 
     @property
     def param_names(self) -> list[str]:
@@ -329,10 +331,7 @@ def css_residuals(w, params: "TsParams | np.ndarray", order: ModelOrder,
     on every evaluation; without one, the call builds its own.  Either way
     the polynomials of ``params`` stay on the layout as ``num`` and ``den``.
     """
-    vec = params.to_vector(order) if isinstance(params, TsParams) else np.asarray(params, float)
-    if vec.ndim != 1 or vec.size != order.n_params:
-        raise ValueError(f"expected a vector of {order.n_params} parameters, "
-                         f"got shape {vec.shape}")
+    vec = _vector(params, order)
     num, den = (layout or _Layout(order)).polynomials(vec)
     w = np.asarray(w, dtype=float)
     return _lfilter(num, den, w - vec[-1] if order.include_mean else w)
@@ -466,14 +465,13 @@ def minimize_qn(f, x0, H0=None):
 def _min_series_length(order: ModelOrder, method: str) -> int:
     """One less than the observations a ``method`` fit of ``order`` needs: more
     than p + q + s(P + Q) + d + sD + 5, and on the lag-design route a design of
-    k columns with k + ``_SCORES[method].extra_obs`` rows (k + 1 for CSS, and
-    for the CSS stage of an ARI(p,d,0) PMM2 fit)."""
+    k columns with k + ``_extra_rows`` rows of the method (of CSS for the CSS
+    stage of an ARI(p,d,0) PMM2 fit)."""
     lags = order.p + order.d + order.D * order.s
     need = lags + order.q + order.s * (order.P + order.Q) + 5
     if _is_pure_ar(order):  # the lag design fits the order or its CSS stage
-        score = _SCORES.get(method) if _lag_design_route(method, order) else None
-        rows = order.p + int(order.include_mean) + (score.extra_obs if score else 1)
-        need = max(need, lags + rows - 1)
+        stage = method if _lag_design_route(method, order) else "CSS"
+        need = max(need, lags + order.p + int(order.include_mean) + _extra_rows(stage) - 1)
     return need
 
 
@@ -523,17 +521,16 @@ def _finish_ts_fit(method, x, w, vec, layout, warns, converged, frozen=None) -> 
     order = layout.order
     residuals = css_residuals(w, vec, order, layout)
     score = _SCORES.get(method)
-    if frozen is None:
-        objective = float((residuals * residuals).sum())
+    if frozen is None:  # moments first: they raise where the squares overflow
         moments = _moments_or_none(residuals)
+        objective = float((residuals * residuals).sum())
     else:
         weights, moments = frozen
         with np.errstate(over="ignore", invalid="ignore"):
             objective = _capped(score, weights, moments.m2, residuals)
     g = score.clamp(moments, warns) if score is not None else 1.0
     _unit_region_warnings(layout.num, layout.den, warns)  # those of the residuals
-    return TsFit(method, order, TsParams.from_vector(vec, order), residuals, x, moments, g,
-                 objective, converged, warns)
+    return TsFit(method, order, vec, residuals, x, moments, g, objective, converged, warns)
 
 
 def _lag_design_fit(method, x, w, layout) -> TsFit:
@@ -631,47 +628,42 @@ def _newton_ar(score, weights, m2: float, w: np.ndarray,
 
 
 def _two_stage(method: str, x: np.ndarray, w: np.ndarray, layout: _Layout,
-               css: TsFit | None = None, start: tuple | None = None) -> TsFit:
-    """CSS fit, then the ``_SCORES[method]`` objective minimized from it with the
-    CSS residual moments frozen; unusable moments return a copy of the CSS fit
-    with a note.
+               css: TsFit, start: tuple | None) -> TsFit:
+    """The ``_SCORES[method]`` objective minimized from ``css``, the CSS fit of
+    ``x``, with its residual moments frozen; unusable moments return a copy of
+    ``css`` with a note, and ``css`` itself is never modified.
 
-    ``css`` is the CSS fit of the same ``x`` and order when the caller has
-    one; it is used in place of a new one and never modified.  Otherwise the
-    CSS fit starts from ``start`` (see ``_fit_series``).  Pure nonseasonal AR
-    orders without a mean (ARI(p,d,0) PMM2) are minimized by ``_newton_ar``,
-    any other order by ``minimize_qn``, from the inverse Hessian
-    (E[psi'] J'J)^-1 when ``start`` carries the inverse of J'J.
+    ARI(p,d,0), the one pure AR order routed here, is minimized by
+    ``_newton_ar``, any other order by ``minimize_qn``, from the inverse
+    Hessian (E[psi'] J'J)^-1 when ``start`` carries the inverse of J'J.
     """
     order = layout.order
     score = _SCORES[method]
-    base = _css_fit(x, w, layout, start) if css is None else css
-    if not base.converged:
+    if not css.converged:
         raise FitFailureError(f"CSS stage did not converge; {method} stage aborted")
-    warns = list(base.warnings)
-    mom = base.moments
-    if mom is None or mom.degenerate:
-        return replace(base, warnings=[*base.warnings,
-                                       "degenerate CSS residual moments; returning CSS fit"])
+    mom = css.moments
+    note = "degenerate CSS residual moments"
+    if mom is not None and not mom.degenerate:
+        try:
+            weights, note = score.weights(mom), None
+        except DegenerateMomentsError:
+            note = f"CSS residual moments leave the {method} weights undefined"
+    if note:
+        return replace(css, warnings=[*css.warnings, f"{note}; returning CSS fit"])
+    warns = list(css.warnings)
     if score.symmetric and abs(mom.gamma3) > 0.5:
         warns.append(f"CSS residual skewness {mom.gamma3:.3f} exceeds 0.5; "
                      f"{method} assumes symmetric errors")
-    try:
-        weights = score.weights(mom)
-    except DegenerateMomentsError:
-        return replace(base, warnings=[
-            *base.warnings,
-            f"CSS residual moments leave the {method} weights undefined; returning CSS fit"])
     if score.symmetric and weights[0] < 0.0:
         warns.append(f"b1 < 0 (platykurtic residuals): {method} objective may be nonconvex")
     with np.errstate(over="ignore", invalid="ignore"):
-        if _is_pure_ar(order) and not order.include_mean:
-            vec, converged = _newton_ar(score, weights, mom.m2, w, base.coefficients)
+        if _is_pure_ar(order):
+            vec, converged = _newton_ar(score, weights, mom.m2, w, css.coefficients)
         else:
             inverse = None if start is None else start[1]
             vec, _, converged = minimize_qn(
                 lambda v: _capped(score, weights, mom.m2, css_residuals(w, v, order, layout)),
-                base.coefficients,
+                css.coefficients,
                 None if inverse is None else inverse / score.slope(weights, mom.m2))
     if not converged:
         warns.append(f"{method} optimizer did not converge")
@@ -712,8 +704,8 @@ def _fit_series(method: str, x, order: ModelOrder, css: TsFit | None = None,
     A pure nonseasonal AR order after differencing is the lag-design regression
     of the same method (OLS for CSS).  Any other CSS order is minimized by
     quasi-Newton, and white noise is not minimized.  Any other PMM order is the
-    two-stage fit from ``css`` (the CSS fit of the same ``x`` and ``order``)
-    when it is given, else from a CSS fit of its own.
+    two-stage fit from the CSS fit.  A given ``css``, the CSS fit of the same
+    ``x`` and ``order``, is that CSS fit: "CSS" returns it.
 
     ``start``, private to refits near an earlier fit (``_refit_start``), is a
     pair (vector, inverse of J'J or None) that only the quasi-Newton runs read:
@@ -729,11 +721,11 @@ def _fit_series(method: str, x, order: ModelOrder, css: TsFit | None = None,
             f"series length {x.size} too short for order requiring > {need} observations")
     w = difference(x, order.d, order.D, order.s)
     layout = _Layout(order)
-    if method == "CSS":
-        return _css_fit(x, w, layout, start)
-    if _lag_design_route(method, order):
+    if method != "CSS" and _lag_design_route(method, order):
         return _lag_design_fit(method, x, w, layout)
-    return _two_stage(method, x, w, layout, css, start)
+    if css is None:
+        css = _css_fit(x, w, layout, start)
+    return css if method == "CSS" else _two_stage(method, x, w, layout, css, start)
 
 
 def _residual_jtj(fit: TsFit) -> np.ndarray:
@@ -772,20 +764,20 @@ def fit_css(x, order: ModelOrder) -> TsFit:
     return _fit_series("CSS", x, order)
 
 
-def simulate_arima(order: ModelOrder, params: TsParams, innovations,
+def simulate_arima(order: ModelOrder, params: "TsParams | np.ndarray", innovations,
                    burnin: int = 0) -> np.ndarray:
     """Drive the ARMA recursion with given innovations, then integrate d/D times
     from a zero history.
 
+    ``params`` is a TsParams or its parameter vector (``TsParams.to_vector``).
     The first ``burnin`` generated values are discarded before integration, so
     the output has length len(innovations) - burnin.  Burn-in only makes sense
     for stationary AR polynomials; this is not enforced.
     """
-    vec = params.to_vector(order)
-    for name in ("phi", "theta", "Phi", "Theta"):
-        _require_finite(f"parameter {name}", getattr(params, name))
-    if order.include_mean:  # the mean is unused otherwise
-        _require_finite("parameter mean", params.mean)
+    vec = _vector(params, order)
+    parts = _split(vec, order)  # the mean is 0.0, unchecked, without a mean term
+    for name, part in zip(("phi", "theta", "Phi", "Theta", "mean"), parts):
+        _require_finite(f"parameter {name}", part)
     eps = np.asarray(innovations, dtype=float)
     _require_finite("innovations", eps)
     if burnin < 0 or burnin >= eps.size:
@@ -793,7 +785,7 @@ def simulate_arima(order: ModelOrder, params: TsParams, innovations,
     num, den = _Layout(order).polynomials(vec)
     z = _lfilter(den, num, eps)[burnin:]
     if order.include_mean:
-        z = z + params.mean
+        z = z + parts[-1]
     return integrate_forecast(np.zeros(order.d + order.D * order.s), z,
                               order.d, order.D, order.s)
 

@@ -444,3 +444,20 @@ def test_fit_on_data_near_1e100_prints_one_error_line(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("fit error: ") and err.count("\n") == 1
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_data_near_1e160_is_one_fit_error(tmp_path, capsys):
+    # the squares overflow: a moment overflow, not numpy's warnings and then a
+    # rank-deficient design, an exit 0 with NaN moments or a near-Gaussian dispatch
+    path = tmp_path / "huge.csv"
+    write_csv(path, ["y"], [(repr(float(v)),)
+                            for v in np.random.default_rng(0).standard_normal(40) * 1e160])
+    for command, *extra in (["fit"], ["fit", "--method", "css", "--order", "0,0,1"],
+                            ["dispatch"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--input", str(path), "--column", "y", *extra])
+        assert code == 4
+        assert capsys.readouterr().err == \
+            "fit error: sample moments overflow the float range (m2 = inf)\n"
+        assert not caught

@@ -58,10 +58,11 @@ class TestOls:
         with pytest.raises(SingularDesignError):
             DesignProblem(X, x)
 
-    @pytest.mark.parametrize("k", [10, 12, 50])
+    @pytest.mark.parametrize("k", [10, 12, 50, 160])
     def test_rank_check_is_scale_free(self, k):
         # a predictor 1e10 and more times its intercept's units was called
-        # rank deficient; the coefficients scale with it exactly
+        # rank deficient, and at 1e160 the squares of its column norm overflowed;
+        # the coefficients scale with it exactly
         rng = np.random.default_rng(1)
         x = rng.standard_normal(100)
         y = 1.0 + 2.0 * x + rng.gamma(2.0, 1.0, 100) - 2.0

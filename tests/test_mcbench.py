@@ -7,7 +7,8 @@ from scipy import stats
 
 from pmmest import mcbench
 from pmmest.dispatch import METHODS, fit_model
-from pmmest.errors import _REPLICATE_FAILURES, FitFailureError
+from pmmest.errors import _REPLICATE_FAILURES, FitFailureError, InputTooShortError, PmmError
+from pmmest.linmodel import DesignProblem, asymptotic_covariance
 from pmmest.mcbench import (
     InnovationSpec,
     McSpec,
@@ -218,6 +219,30 @@ class TestRunMonteCarlo:
     def test_n_sim_minimum(self):
         with pytest.raises(ValueError):
             run_monte_carlo([tiny_regression_spec()], ("ols",), 10, seed=0)
+
+    @pytest.mark.parametrize("method, extra", [("ols", 1), ("pmm2", 4), ("pmm3", 6)])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_regression_length_check_is_the_fitters_rule(self, method, extra, k):
+        # the regression twin of test_every_method_shares_one_length_rule: the
+        # check passes n exactly where the fit and its covariance succeed
+        need = max(3, k + extra - 1)  # n >= 4 for the covariance's moments
+        rng = np.random.default_rng(k)
+        for n in (need, need + 1):
+            spec = McSpec("regression", tuple(range(1, k + 1)), InnovationSpec("gamma"), n)
+            try:
+                mcbench._check_length(spec, method)
+                passes = True
+            except InputTooShortError:
+                passes = False
+            X = np.column_stack([np.ones(n), rng.standard_normal((n, k - 1))])
+            y = X @ np.asarray(spec.theta) + sample_innovations(spec.innovations, n, rng)
+            try:
+                problem = DesignProblem(X, y)
+                asymptotic_covariance(fit_model(problem, method), problem)
+                fits = True
+            except PmmError:
+                fits = False
+            assert (passes, fits) == (n > need, n > need)
 
     def test_ar_label_with_ma_order_completes(self):
         # the fitter follows the order, not the model label
