@@ -65,6 +65,7 @@ def _name_list(text: str) -> tuple[str, ...]:
 
 
 def _innovations(text: str) -> InnovationSpec:
+    """Parser of ``family[:key=value,...]``; keys left out keep their defaults."""
     fam, _, rest = text.partition(":")
     fam = fam.strip().lower()
     if fam not in _FAMILIES:
@@ -74,17 +75,13 @@ def _innovations(text: str) -> InnovationSpec:
     if not rest:
         return InnovationSpec(fam)
     entries = [e.strip() for e in rest.split(",") if e.strip()]
-    try:
-        if all("=" in e for e in entries):
-            given = dict(e.split("=", 1) for e in entries)
-            unknown = set(given) - set(keys)
-            if unknown:
-                raise argparse.ArgumentTypeError(
-                    f"unknown {fam} parameters {sorted(unknown)}; valid: {list(keys)}")
-            params = tuple(float(given.get(k, defaults[i]))
-                           for i, k in enumerate(keys))
-        else:
-            params = tuple(float(e) for e in entries)
+    try:  # an entry without "=" fails the dict, as a non-number fails float
+        given = dict(e.split("=", 1) for e in entries)
+        unknown = set(given) - set(keys)
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown {fam} parameters {sorted(unknown)}; valid: {list(keys)}")
+        params = tuple(float(given.get(k, defaults[i])) for i, k in enumerate(keys))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad innovation parameters in {text!r}")
     return InnovationSpec(fam, params)
@@ -159,13 +156,8 @@ def _sanitize(obj):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
+    if isinstance(obj, float):  # np.float64 included
+        return obj if math.isfinite(obj) else None
     return obj
 
 

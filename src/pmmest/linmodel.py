@@ -179,7 +179,7 @@ def _fit_polynomial(method: str, problem: DesignProblem, tol: float) -> Regressi
         beta = beta + delta
         eps = problem.y - problem.X @ beta
         mom = central_moments(eps)
-        if np.max(np.abs(delta)) < tol:
+        if np.abs(delta).max() < tol:
             converged = True
             break
     if fallback_steps:

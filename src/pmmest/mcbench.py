@@ -184,6 +184,8 @@ class McSpec:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
+        if self.burnin < 0:
+            raise ValueError(f"burnin must be >= 0, got {self.burnin}")
         object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
         if not self.label:
             object.__setattr__(self, "label", f"{self.model}_{self.innovations.family}")
@@ -208,7 +210,7 @@ class McSummaryRow:
     bias: float
     variance: float
     coverage: float
-    gain: float | None
+    gain: float | None  # MSE / MSE(baseline); None without the baseline
     theory_g: float | None
 
 
@@ -271,10 +273,13 @@ def _simulate_spec(spec: McSpec, rng: "np.random.Generator"):
 
 
 def _fit_method(spec: McSpec, method: str, data, z: float, css=None):
-    """Fit one method, from the replicate's CSS fit ``css`` when one is given;
-    return (estimates, covered-indicator vector)."""
-    fit = _converged(fit_model(data, method, spec.order) if css is None
-                     else _fit_series(_method_name(method, False), data, spec.order, css=css))
+    """Fit one method, from the replicate's converged CSS fit ``css`` when one
+    is given (itself the "css" fit); return (estimates, covered-indicator vector)."""
+    if css is None:
+        fit = fit_model(data, method, spec.order)
+    else:
+        fit = css if method == "css" else _fit_series(method.upper(), data, spec.order, css=css)
+    fit = _converged(fit)
     if spec.order is None:
         cov = asymptotic_covariance(fit, data)
     else:
@@ -340,40 +345,32 @@ def run_monte_carlo(specs, methods, n_sim: int, seed: int = 0, n_jobs: int = 1):
                 payloads = [p for part in pool.map(_replicate_chunk, chunks) for p in part]
         else:
             payloads = _replicate_chunk((spec, spec_methods, rep_seeds))
+        kept = [p for p in payloads if p is not None]
+        n_failed[spec.label] = n_sim - len(kept)
+        _check_failures(n_failed[spec.label], n_sim, f"replicates of spec {spec.label!r}")
         keep = np.array([p is not None for p in payloads])
-        failed = n_sim - int(keep.sum())
-        _check_failures(failed, n_sim, f"replicates of spec {spec.label!r}")
-        n_failed[spec.label] = failed
         names = _spec_param_names(spec)
-        est = {m: np.full((n_sim, len(names)), np.nan) for m in spec_methods}
-        cov = {m: np.full((n_sim, len(names)), np.nan) for m in spec_methods}
-        for idx in np.flatnonzero(keep):
-            for m in spec_methods:
-                est[m][idx], cov[m][idx] = payloads[idx][m]
         theta = np.asarray(spec.theta)
-        mses = {m: np.mean((est[m][keep] - theta) ** 2, axis=0) for m in spec_methods}
+        est = {m: np.array([p[m][0] for p in kept]) for m in spec_methods}
+        mses = {m: np.mean((est[m] - theta) ** 2, axis=0) for m in spec_methods}
         baseline = _method_name("ols", regression).lower()
         profile = innovation_theory(spec.innovations)
+        theory = {"pmm2": profile.g2, "pmm3": profile.g3, baseline: 1.0}
         for m in spec_methods:
-            results[(spec.label, m)] = est[m]
-            e = est[m][keep]
-            bias = e.mean(axis=0) - theta
-            variance = e.var(axis=0)
-            coverage = cov[m][keep].mean(axis=0)
-            if baseline in mses:
-                gain = mses[m] / mses[baseline]
-            else:
-                gain = [None] * len(names)
-            theory = {"pmm2": profile.g2, "pmm3": profile.g3,
-                      baseline: 1.0}.get(m)
+            results[(spec.label, m)] = np.full((n_sim, len(names)), np.nan)
+            results[(spec.label, m)][keep] = est[m]
+            bias = est[m].mean(axis=0) - theta
+            variance = est[m].var(axis=0)
+            coverage = np.mean([p[m][1] for p in kept], axis=0)
+            gain = mses[m] / mses[baseline] if baseline in mses else None
             for j, name in enumerate(names):
                 rows.append(McSummaryRow(
                     label=spec.label, method=m, parameter=name,
-                    n_used=int(keep.sum()), mse=float(mses[m][j]),
+                    n_used=len(kept), mse=float(mses[m][j]),
                     bias=float(bias[j]), variance=float(variance[j]),
                     coverage=float(coverage[j]),
-                    gain=None if gain[j] is None else float(gain[j]),
-                    theory_g=theory))
+                    gain=None if gain is None else float(gain[j]),
+                    theory_g=theory.get(m)))
     return results, McSummary(rows=rows, n_sim=n_sim, n_failed=n_failed)
 
 
@@ -417,6 +414,8 @@ def advantage_grid(gamma3_grid, n_grid, B: int, model: McSpec | None = None,
     n_grid = [int(n) for n in n_grid]
     if not gamma3_grid or not n_grid:
         raise ValueError("empty grid")
+    if B < 50:
+        raise ValueError(f"B must be >= 50, got {B}")
     if model is None:
         model = McSpec(model="arima", theta=(0.7,), label="grid",
                        innovations=InnovationSpec("gaussian"), n=200,

@@ -359,11 +359,6 @@ def ar_design_matrix(x, p: int, include_mean: bool = True) -> DesignProblem:
 # Quasi-Newton minimization
 # ---------------------------------------------------------------------------
 
-def _max_abs(a: np.ndarray) -> float:
-    """max |a|, NaN if ``a`` holds one, without the temporary of ``np.abs``."""
-    return float(max(a.max(), -a.min()))
-
-
 def _central_difference(f, x) -> np.ndarray:
     """Central differences of ``f`` along each coordinate of ``x`` with step
     1e-6 * max(1, |x_i|), one column per coordinate in a C-ordered array:
@@ -398,11 +393,13 @@ def minimize_qn(f, x0, H0=None):
     basin of the start point, which matters for the PMM polynomial objectives:
     they can be unbounded below in explosive parameter regions, and the
     estimator is defined as the local minimizer reached from the CSS start.
-    Stops on gradient norm < 1e-8, relative objective change < 1e-12, or
-    500 iterations, and unconverged on a non-finite gradient (a difference
-    point where ``f`` is infinite).  The relative change is tested before the
-    new point's gradient is taken, so a run that stops on it ends with a call
-    of ``f`` at the returned point.
+
+    Converged means one of two stops: gradient norm (max |g_i|) < 1e-8, or
+    relative objective change < 1e-12.  The relative change is tested before
+    the new point's gradient is taken, so a run that stops on it ends with a
+    call of ``f`` at the returned point.  Any other end is unconverged: a
+    non-finite gradient (a difference point where ``f`` is infinite), a step
+    with no Armijo progress after 50 halvings, or the 500-iteration cap.
     """
     x = np.array(x0, dtype=float)
     fx = float(f(x))
@@ -412,37 +409,30 @@ def minimize_qn(f, x0, H0=None):
     g = _central_difference(f, x)
     eye = np.eye(n)  # never written in place, so H may share it, as with H0
     H = eye if H0 is None else H0
-    converged = False
     for _ in range(500):
-        gnorm = _max_abs(g)
+        gnorm = np.abs(g).max()
         if gnorm < 1e-8:
-            converged = True
-            break
+            return x, fx, True
         if not math.isfinite(gnorm):
             break
         d = -H @ g
         if not np.isfinite(d).all() or float(d @ g) >= 0.0:
             H = eye
             d = -g
-        dnorm = _max_abs(d)
-        cap = 0.1 * max(1.0, _max_abs(x))
+        dnorm = np.abs(d).max()
+        cap = 0.1 * max(1.0, np.abs(x).max())
         alpha = min(1.0, cap / dnorm) if dnorm > 0.0 else 1.0
         slope = float(g @ d)
-        accepted = False
         for _ in range(50):
             xn = x + alpha * d
             fn = float(f(xn))
             if math.isfinite(fn) and fn <= fx + 1e-4 * alpha * slope:
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
-            # no Armijo progress: finite-difference noise floor reached
-            converged = gnorm <= 1e-5 * max(1.0, abs(fx))
+        else:  # no Armijo progress
             break
         if abs(fx - fn) / max(1.0, abs(fx)) < 1e-12:
-            x, fx, converged = xn, fn, True
-            break
+            return xn, fn, True
         gn = _central_difference(f, xn)
         s = xn - x
         yv = gn - g
@@ -453,9 +443,7 @@ def minimize_qn(f, x0, H0=None):
             V = eye - rho * (s[:, None] * yv)
             H = V @ H @ V.T + rho * (s[:, None] * s)
         x, fx, g = xn, fn, gn
-    if not converged and _max_abs(g) <= 1e-5 * max(1.0, abs(fx)):
-        converged = True
-    return x, fx, converged
+    return x, fx, False
 
 
 # ---------------------------------------------------------------------------
@@ -524,10 +512,9 @@ def _finish_ts_fit(method, x, w, vec, layout, warns, converged, frozen=None) -> 
     if frozen is None:  # moments first: they raise where the squares overflow
         moments = _moments_or_none(residuals)
         objective = float((residuals * residuals).sum())
-    else:
+    else:  # under the errstate of ``_two_stage``, the one caller that freezes
         weights, moments = frozen
-        with np.errstate(over="ignore", invalid="ignore"):
-            objective = _capped(score, weights, moments.m2, residuals)
+        objective = _capped(score, weights, moments.m2, residuals)
     g = score.clamp(moments, warns) if score is not None else 1.0
     _unit_region_warnings(layout.num, layout.den, warns)  # those of the residuals
     return TsFit(method, order, vec, residuals, x, moments, g, objective, converged, warns)
@@ -561,7 +548,7 @@ def _capped(score, weights, m2: float, eps: np.ndarray) -> float:
     1e6 * m2 (residuals past 1000 sd flag an exploding recursion).  Callers
     silence overflow and invalid-value warnings, once per optimizer run."""
     # max e^2 is the square of max |e|; NaN and inf fail the test as well
-    a = _max_abs(eps)
+    a = np.abs(eps).max()
     if not a * a <= 1e6 * m2:
         return math.inf
     return score.objective(eps, weights, m2)
@@ -608,8 +595,8 @@ def _newton_ar(score, weights, m2: float, w: np.ndarray,
         if not math.isfinite(decrement):
             return phi, False
         converged = decrement <= 1e-10 * max(abs(f), m * m2)
-        size = max(1.0, _max_abs(phi))
-        dnorm = _max_abs(d)
+        size = max(1.0, np.abs(phi).max())
+        dnorm = np.abs(d).max()
         alpha = min(1.0, 0.1 * size / dnorm) if dnorm > 1e-12 * size else 0.0
         zd = Z @ d
         while alpha * dnorm > 1e-12 * size:
@@ -665,9 +652,9 @@ def _two_stage(method: str, x: np.ndarray, w: np.ndarray, layout: _Layout,
                 lambda v: _capped(score, weights, mom.m2, css_residuals(w, v, order, layout)),
                 css.coefficients,
                 None if inverse is None else inverse / score.slope(weights, mom.m2))
-    if not converged:
-        warns.append(f"{method} optimizer did not converge")
-    return _finish_ts_fit(method, x, w, vec, layout, warns, converged, (weights, mom))
+        if not converged:
+            warns.append(f"{method} optimizer did not converge")
+        return _finish_ts_fit(method, x, w, vec, layout, warns, converged, (weights, mom))
 
 
 def _css_fit(x: np.ndarray, w: np.ndarray, layout: _Layout,
@@ -742,7 +729,8 @@ def _refit_start(fit: TsFit) -> tuple | None:
     """The ``start`` of ``_fit_series`` for refits near ``fit``: its estimate
     and the inverse of J'J (``_residual_jtj``), None in place of the inverse
     where Cholesky finds J'J not positive definite.  None for an order without
-    MA or seasonal terms, whose fits run no quasi-Newton."""
+    MA or seasonal terms: its fits run no quasi-Newton, except the PMM stage
+    of white noise with a mean, which runs it over the mean from no start."""
     order = fit.order
     if not (order.q or order.P or order.Q):
         return None

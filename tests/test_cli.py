@@ -97,6 +97,22 @@ class TestFit:
         assert len(fc) == 3
         assert fc[0] == pytest.approx(x[-1]) and fc[1] == fc[0] and fc[2] == fc[0]
 
+    def test_report_on_stdout_skips_blank_rows(self, tmp_path, capsys):
+        # without --output the JSON report is printed; blank rows change nothing
+        sample = Path(__file__).parent.parent / "data" / "ar1_gamma_sample.csv"
+        lines = sample.read_text().splitlines()
+        gappy = tmp_path / "gappy.csv"
+        gappy.write_text("\n".join(lines[:3] + ["", " "] + lines[3:]) + "\n")
+        reports = []
+        for path in (sample, gappy):
+            assert main(["fit", "--input", str(path), "--column", "y", "--method", "css",
+                         "--order", "1,0,0"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        report = json.loads(reports[0])
+        jsonschema.validate(report, SCHEMA)
+        assert report["n"] == len(lines) - 1
+
     def test_horizon_on_regression_is_usage_error(self, line_csv):
         code = main(["fit", "--input", str(line_csv), "--column", "y",
                      "--design", "x", "--method", "ols", "--horizon", "2"])
@@ -387,12 +403,13 @@ class TestExitCodes:
          "--order", "1,0,0", "--output", "DIR"],
         ["simulate", "--innovations", "gamma", "--n", "20", "--output", "NODIR"],
         ["simulate", "--innovations", "gamma", "--n", "0"],
+        ["simulate", "--innovations", "gamma"],
     ], ids=["simulate-innovations", "bootstrap-B", "bootstrap-B1", "bootstrap-block-length",
             "mc-n-sim", "mc-theta-length", "fit-horizon", "grid-gamma3", "seasonal-s",
             "fit-design-order", "fit-design-seasonal", "fit-design-no-mean",
             "bootstrap-design-order", "bootstrap-design-block-length",
             "fit-output-missing-dir", "fit-output-is-dir", "simulate-output-missing-dir",
-            "simulate-n-zero"])
+            "simulate-n-zero", "simulate-n-missing"])
     def test_library_argument_error_is_usage_error(self, argv, tmp_path, capsys):
         places = {"SAMPLE": str(Path(__file__).parent.parent / "data" / "ar1_gamma_sample.csv"),
                   "NODIR": str(tmp_path / "missing" / "out"), "DIR": str(tmp_path)}
@@ -422,6 +439,60 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: spec ") and "too short for" in err
         assert err.count("\n") == 1 and not out.exists()
+
+    # Each flag value that argparse rejects: usage first, then the reason.
+    @pytest.mark.parametrize("argv, reason", [
+        (["fit", "--seed", "-1"], "argument --seed: seed must fit in an unsigned 64-bit integer"),
+        (["fit", "--seed", "abc"], "argument --seed: seed must be an integer, got 'abc'"),
+        (["fit", "--order", "1,0"],
+         "argument --order: expected p,d,q as 3 non-negative integers, got '1,0'"),
+        (["fit", "--order", "1,-1,0"],
+         "argument --order: expected p,d,q as 3 non-negative integers, got '1,-1,0'"),
+        (["simulate", "--innovations", "gamma:2,1", "--n", "20", "--output", "x.csv"],
+         "argument --innovations: bad innovation parameters in 'gamma:2,1'"),
+    ], ids=["seed-negative", "seed-text", "order-two-values", "order-negative",
+            "innovations-positional"])
+    def test_rejected_flag_value_prints_usage(self, argv, reason, line_csv, capsys):
+        if argv[0] == "fit":
+            argv = argv + ["--input", str(line_csv), "--column", "y"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: pmmest {argv[0]} ")
+        assert err.endswith(f"pmmest {argv[0]}: error: {reason}\n")
+
+    # B (grid) and burnin (mc) are checked before any replicate, in their own names
+    @pytest.mark.parametrize("argv, message", [
+        (["grid", "--grid-gamma3", "0", "--grid-n", "100", "--B", "10"],
+         "B must be >= 50, got 10"),
+        (["mc", "--model", "ar", "--order", "1,0,0", "--theta", "0.5,0",
+          "--innovations", "gamma", "--n", "80", "--n-sim", "50", "--burnin", "-1"],
+         "burnin must be >= 0, got -1"),
+    ], ids=["grid-B", "mc-burnin"])
+    def test_replicate_argument_names_its_flag(self, argv, message, tmp_path, monkeypatch,
+                                               capsys):
+        def chunk(args):
+            raise AssertionError("a replicate ran before the argument check")
+
+        monkeypatch.setattr(mcbench, "_replicate_chunk", chunk)
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot open {path}: "), ("", "{path}: empty file\n"),
+        ("y\n", "{path}: no data rows\n"),
+    ], ids=["missing-file", "empty-file", "header-only"])
+    def test_unreadable_input_is_data_error(self, content, message, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        if content is not None:
+            path.write_text(content)
+        code = main(["fit", "--input", str(path), "--column", "y", "--method", "css",
+                     "--order", "1,0,0"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: " + message.format(path=path))
+        assert err.count("\n") == 1
 
     def test_too_short_series_is_data_error(self, tmp_path):
         path = tmp_path / "short.csv"

@@ -130,6 +130,10 @@ class TestDispatchFit:
         assert fit.method == "CSS"
         assert fit.order.p >= 1  # AR scan should pick up the dependence
 
+    def test_series_too_short_for_any_scanned_order(self):
+        with pytest.raises(InputTooShortError, match="series too short for any AR order scan"):
+            dispatch_fit(np.arange(5.0) ** 2)
+
     def test_uniform_regression_routes_to_pmm3(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal(500)

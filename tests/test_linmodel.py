@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import symmetric_orthogonal_errors, unconverged_pmm2_problem
 from pmmest import linmodel
 from pmmest.cumulants import pmm2_weight, pmm3_weights
-from pmmest.errors import InputTooShortError, SingularDesignError
+from pmmest.errors import FitFailureError, InputTooShortError, SingularDesignError
 from pmmest.linmodel import (
     DesignProblem,
     asymptotic_covariance,
@@ -100,6 +100,12 @@ class TestOls:
     def test_n_not_greater_than_k_raises(self):
         with pytest.raises(SingularDesignError):
             DesignProblem(np.eye(2), np.ones(2))
+
+    def test_malformed_problem_is_a_value_error(self):
+        with pytest.raises(ValueError, match="X must be a 2-d matrix"):
+            DesignProblem(np.ones(5), np.ones(5))
+        with pytest.raises(ValueError, match=r"len\(y\) = 4 does not match X rows = 5"):
+            DesignProblem(np.ones((5, 1)), np.ones(4))
 
     def test_pmm_fitters_need_headroom(self):
         prob = DesignProblem(np.column_stack([np.ones(4), np.arange(4.0)]),
@@ -317,6 +323,11 @@ class TestInference:
         w_pmm2 = np.diff(confidence_intervals(pmm2, prob), axis=1)
         expected = math.sqrt(pmm2.g_coefficient * pmm2.moments.m2 / ols.moments.m2)
         assert w_pmm2 / w_ols == pytest.approx(expected, rel=0.01)
+
+    def test_covariance_requires_a_converged_fit(self):
+        prob = unconverged_pmm2_problem()
+        with pytest.raises(FitFailureError, match="covariance requires a converged fit"):
+            asymptotic_covariance(fit_pmm2(prob), prob)
 
     def test_level_out_of_range(self):
         prob = gamma_problem(n=50, seed=1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pmmest import mcbench
+from pmmest import mcbench, tscore
 from pmmest.dispatch import METHODS, fit_model
 from pmmest.errors import _REPLICATE_FAILURES, FitFailureError, InputTooShortError, PmmError
 from pmmest.linmodel import DesignProblem, asymptotic_covariance
@@ -83,6 +83,8 @@ class TestInnovationTheory:
             innovation_theory(InnovationSpec("uniform", (2.0, -2.0)))
         with pytest.raises(ValueError):
             innovation_theory(InnovationSpec("cauchy"))
+        with pytest.raises(ValueError, match="gaussian takes at most 1 parameters"):
+            innovation_theory(InnovationSpec("gaussian", (1.0, 2.0)))
 
 
 # Each family's draw at default parameters, written directly against numpy,
@@ -220,6 +222,41 @@ class TestRunMonteCarlo:
         with pytest.raises(ValueError):
             run_monte_carlo([tiny_regression_spec()], ("ols",), 10, seed=0)
 
+    def test_duplicate_labels_and_no_methods_rejected(self):
+        spec = tiny_regression_spec()
+        with pytest.raises(ValueError, match="spec labels must be unique"):
+            run_monte_carlo([spec, spec], ("ols",), 50, seed=0)
+        with pytest.raises(ValueError, match="no methods requested"):
+            run_monte_carlo([spec], (), 50, seed=0)
+
+    def test_gain_is_none_without_the_baseline(self, tmp_path):
+        _, summary = run_monte_carlo([tiny_regression_spec()], ("pmm2", "pmm3"), 50, seed=0)
+        assert len(summary.rows) == 4
+        assert all(row.gain is None for row in summary.rows)
+        path = tmp_path / "summary.csv"
+        summary.to_csv(path)
+        assert [line.split(",")[8] for line in path.read_text().splitlines()[1:]] == [""] * 4
+
+    def test_css_fit_is_not_refit(self, monkeypatch):
+        # A replicate that requests "css" fits CSS once, through fit_model, and
+        # hands that fit to each PMM fit; "css" itself calls _fit_series no more.
+        calls = []
+
+        def counting(fit_series):
+            def wrapped(method, x, order, css=None, start=None):
+                calls.append((method, css is not None))
+                return fit_series(method, x, order, css=css, start=start)
+            return wrapped
+
+        monkeypatch.setattr(tscore, "_fit_series", counting(tscore._fit_series))
+        monkeypatch.setattr(mcbench, "_fit_series", counting(mcbench._fit_series))
+        spec = McSpec("arma", (0.5, 0.3, 1.0), InnovationSpec("gamma"), 200,
+                      order=ModelOrder(p=1, q=1))
+        seeds = np.random.SeedSequence(0).spawn(1)
+        [payload] = mcbench._replicate_chunk((spec, ["css", "pmm2", "pmm3"], seeds))
+        assert set(payload) == {"css", "pmm2", "pmm3"}
+        assert calls == [("CSS", False), ("PMM2", True), ("PMM3", True)]
+
     @pytest.mark.parametrize("method, extra", [("ols", 1), ("pmm2", 4), ("pmm3", 6)])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_regression_length_check_is_the_fitters_rule(self, method, extra, k):
@@ -281,6 +318,13 @@ class TestRunMonteCarlo:
         with pytest.raises(ValueError, match="takes no ModelOrder"):
             McSpec("regression", (1.0, 2.0), InnovationSpec("gaussian"), 100,
                    order=ModelOrder(p=1))
+        with pytest.raises(ValueError, match="unknown model 'garch'"):
+            McSpec("garch", (1.0,), InnovationSpec("gaussian"), 100)
+        with pytest.raises(ValueError, match="regression theta needs at least an intercept"):
+            McSpec("regression", (), InnovationSpec("gaussian"), 100)
+        with pytest.raises(ValueError, match="burnin must be >= 0, got -1"):
+            McSpec("ar", (0.5, 0.0), InnovationSpec("gaussian"), 100,
+                   order=ModelOrder(p=1), burnin=-1)
 
     def test_summary_csv_round_trip(self, tmp_path):
         _, summary = run_monte_carlo([tiny_regression_spec()], ("ols", "pmm2"), 60, seed=2)
@@ -356,6 +400,10 @@ class TestAdvantageGrid:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             advantage_grid([], [100], B=60)
+
+    def test_replications_per_cell_minimum(self):
+        with pytest.raises(ValueError, match="B must be >= 50, got 49"):
+            advantage_grid([0.0], [100], B=49)
 
     def test_strong_skew_cell_matches_table_ratio(self):
         # gamma3 = 1.41 reproduces the gamma(2,1) configuration; at N = 500

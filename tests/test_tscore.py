@@ -111,6 +111,14 @@ class TestDifference:
         with pytest.raises(InputTooShortError):
             difference(np.ones(4), d=1, D=1, s=4)
 
+    def test_seasonal_difference_needs_a_period(self):
+        with pytest.raises(ValueError, match="seasonal differencing requires s >= 2"):
+            difference(np.ones(10), D=1, s=0)
+
+    def test_integration_needs_a_long_enough_history(self):
+        with pytest.raises(InputTooShortError, match="history of length 1 cannot seed d=2"):
+            integrate_forecast(np.ones(1), np.ones(3), d=2)
+
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(0, 2), D=st.integers(0, 2),
            s=st.sampled_from([0, 2, 4, 12]), seed=st.integers(0, 2**31),
@@ -517,12 +525,24 @@ class TestMinimizeQn:
         assert calls[-1].tobytes() == x.tobytes()
         assert f(x) == fx
 
+    def test_unbounded_line_is_not_convergence(self):
+        # Steps capped at 0.1 * max(1, |x|) let the iterate grow geometrically
+        # down the line; the run ends at the iteration cap, unconverged.
+        x, fx, converged = minimize_qn(lambda v: 1e6 + 0.5 * float(v[0]), np.zeros(1))
+        assert not converged
+        assert x[0] < -1e19 and fx < -1e18
+
 
 class TestSimulate:
     def test_zero_params_identity(self):
         order = ModelOrder(include_mean=False)
         eps = np.array([1.0, -2.0, 0.5, 3.0])
         assert simulate_arima(order, params_for(order), eps).tolist() == eps.tolist()
+
+    def test_burnin_must_leave_an_output(self):
+        order = ModelOrder(include_mean=False)
+        with pytest.raises(ValueError, match=r"burnin=4 must be in \[0, len\(innovations\)\)"):
+            simulate_arima(order, params_for(order), np.ones(4), burnin=4)
 
     def test_random_walk_is_cumsum(self):
         order = ModelOrder(d=1)

@@ -75,6 +75,26 @@ class TestArPmm2:
         ghat = np.mean(ratios_num) / np.mean(ratios_den)
         assert 0.45 <= ghat <= 0.75
 
+    def test_order_zero_rejected(self):
+        with pytest.raises(ValueError, match="AR design requires p >= 1, got 0"):
+            fit_ar_pmm2(simulate_ar1(50), 0)
+
+
+def test_white_noise_without_mean_has_no_parameters(monkeypatch):
+    # The PMM2 stage has nothing to minimize: its quasi-Newton run starts at
+    # an empty vector, and the covariance of no parameters is 0 x 0.
+    starts = []
+
+    def spy(f, x0, H0=None):
+        starts.append(np.asarray(x0).size)
+        return minimize_qn(f, x0, H0)
+
+    monkeypatch.setattr(tscore, "minimize_qn", spy)
+    fit = fit_ts_pmm2(simulate_ar1(60, phi=0.0, seed=3), ModelOrder(include_mean=False))
+    assert starts == [0]
+    assert (fit.method, fit.converged, fit.coefficients.size) == ("PMM2", True, 0)
+    assert tscore.ts_asymptotic_covariance(fit).shape == (0, 0)
+
 
 class TestTsPmm2:
     def test_symmetric_innovations_match_css(self):
