@@ -3,8 +3,12 @@
 PMM2 solves X'[e + c*(e^2 - m2)] = 0 with the quadratic weight c refreshed
 from the current residuals at every step; PMM3 solves X'[b1*e + b3*e^3] = 0
 with (b1, b3) from the sample moment system.  Both run one iteration over the
-``cumulants._SCORES`` records: start from OLS, stop on an infinity-norm
-coefficient-change rule.
+``cumulants._SCORES`` records: start from OLS, stop when the RMS change of the
+fitted values is below tol * sqrt(m2), a rule free of the data's scale.
+
+``_covariance`` is the one Gauss-Newton covariance g * m2 * (J'J)^-1, for
+regressions (J = X) and series (J the CSS-residual Jacobian) alike, with PMM2's
+location term; ``_normal_intervals`` is the one normal interval rule.
 """
 
 import math
@@ -169,6 +173,8 @@ def _fit_polynomial(method: str, problem: DesignProblem, tol: float) -> Regressi
             f"{method} assumes symmetric errors")
     converged = False
     iterations = fallback_steps = 0
+    # the fitted values move by no less than their rounding, a few ulps of y
+    floor = (4.0 * np.finfo(float).eps) ** 2 * (problem.y @ problem.y)
     for iterations in range(1, _MAX_ITER + 1):
         try:
             weights = score.weights(mom)
@@ -177,9 +183,10 @@ def _fit_polynomial(method: str, problem: DesignProblem, tol: float) -> Regressi
             fallback_steps += 1
         delta = (proj @ score.psi(eps, weights, mom.m2)) / score.slope(weights, mom.m2)
         beta = beta + delta
-        eps = problem.y - problem.X @ beta
+        prev, eps = eps, problem.y - problem.X @ beta
         mom = central_moments(eps)
-        if np.abs(delta).max() < tol:
+        step = prev - eps  # the change of the fitted values, X @ delta
+        if step @ step <= tol * tol * mom.m2 * problem.n + floor:
             converged = True
             break
     if fallback_steps:
@@ -196,7 +203,8 @@ def fit_pmm2(problem: DesignProblem, tol: float = 1e-6) -> RegressionFit:
 
     Each step adds (X'X)^-1 X'[e + c*(e^2 - m2)] with c refreshed from the
     current residual moments; inadmissible moment configurations fall back to
-    c = 0 for that step.
+    c = 0 for that step.  The iteration stops when the RMS change of the
+    fitted values is below ``tol`` * sqrt(m2), whatever the units of y and X.
     """
     return _fit_polynomial("PMM2", problem, tol)
 
@@ -207,7 +215,8 @@ def fit_pmm3(problem: DesignProblem, tol: float = 1e-6) -> RegressionFit:
     The score X'[b1*e + b3*e^3] uses weights from the current residual moment
     system; the Jacobian is approximated by -(b1 + 3*b3*m2) X'X.  Intended for
     symmetric errors; asymmetric data only triggers a warning because method
-    applicability is the dispatcher's call, not the fitter's.
+    applicability is the dispatcher's call, not the fitter's.  ``tol`` is the
+    stop of ``fit_pmm2``: RMS change of the fitted values below tol * sqrt(m2).
     """
     return _fit_polynomial("PMM3", problem, tol)
 
@@ -216,14 +225,27 @@ def fit_pmm3(problem: DesignProblem, tol: float = 1e-6) -> RegressionFit:
 _REGRESSION_FITTERS = {"OLS": fit_ols, "PMM2": fit_pmm2, "PMM3": fit_pmm3}
 
 
-def asymptotic_covariance(fit: RegressionFit, problem: DesignProblem) -> np.ndarray:
-    """Finite-sample asymptotic covariance g * m2 * (X'X)^-1 of the coefficients."""
+def _covariance(fit, jtj_inv: np.ndarray, jt1: np.ndarray) -> np.ndarray:
+    """Gauss-Newton covariance g * m2 * (J'J)^-1 of a converged fit with residual
+    moments, J the residual Jacobian and J'1 its column sums.  PMM2's score is
+    blind to a common shift of the residuals, so along a = (J'J)^-1 J'1 it keeps
+    the baseline's variance: it adds (1 - g) * m2 * a a' / n, which is
+    (1 - g) * m2 / n on the diagonal entry of an intercept column."""
     if not fit.converged:
         raise FitFailureError("covariance requires a converged fit")
     if fit.moments is None:
         raise FitFailureError("covariance requires residual moments (n >= 4)")
-    xtx_inv = problem._rinv @ problem._rinv.T
-    return fit.g_coefficient * fit.moments.m2 * xtx_inv
+    g, m2 = fit.g_coefficient, fit.moments.m2
+    cov = g * m2 * jtj_inv
+    if fit.method == "PMM2":
+        a = jtj_inv @ jt1
+        cov = cov + (1.0 - g) * m2 / fit.residuals.size * (a[:, None] * a)
+    return cov
+
+
+def asymptotic_covariance(fit: RegressionFit, problem: DesignProblem) -> np.ndarray:
+    """Finite-sample asymptotic covariance of the coefficients: ``_covariance``, J = X."""
+    return _covariance(fit, problem._rinv @ problem._rinv.T, problem.X.sum(axis=0))
 
 
 def _check_level(level: float):
@@ -233,13 +255,17 @@ def _check_level(level: float):
 
 def confidence_intervals(fit: RegressionFit, problem: DesignProblem,
                          level: float = 0.95) -> np.ndarray:
-    """Normal-quantile intervals coefficient +- z * sqrt(diag covariance), shape (k, 2)."""
+    """``_normal_intervals`` of ``asymptotic_covariance`` at ``level``, shape (k, 2)."""
     from statistics import NormalDist
     _check_level(level)
-    cov = asymptotic_covariance(fit, problem)
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
+    return _normal_intervals(fit.coefficients, asymptotic_covariance(fit, problem), z)
+
+
+def _normal_intervals(coefficients, cov, z: float) -> np.ndarray:
+    """Intervals coefficient +- z * sqrt(diag cov), shape (k, 2)."""
     half = z * np.sqrt(np.diag(cov))
-    return np.column_stack([fit.coefficients - half, fit.coefficients + half])
+    return np.column_stack([coefficients - half, coefficients + half])
 
 
 def information_criteria(fit) -> tuple[float, float, float]:

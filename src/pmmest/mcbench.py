@@ -6,9 +6,9 @@ draw is shifted to mean 0.  Sixth-cumulant closed forms exist for
 the symmetric families only, so g3 is reported only for those.
 
 The engine simulates ``n_sim`` data sets per specification, fits every
-requested method, and reports MSE / bias / variance / coverage plus the
-empirical efficiency gain MSE(method) / MSE(baseline) next to the
-theoretical g2 or g3.
+requested method, and reports MSE / bias / variance / coverage of the
+normal intervals plus the empirical efficiency gain MSE(method) /
+MSE(baseline) next to its theoretical value ``McSummaryRow.theory_g``.
 
 Replicates, serial or in process-pool chunks, run through the bootstraps'
 loop ``inference._replicates`` and follow its drop rule; a replicate dropped
@@ -26,7 +26,7 @@ from .cumulants import CumulantProfile, g2_coefficient, g3_coefficient
 from .dispatch import _method_name, fit_model
 from .errors import InputTooShortError
 from .inference import _check_failures, _converged, _replicates
-from .linmodel import DesignProblem, _extra_rows, asymptotic_covariance
+from .linmodel import DesignProblem, _extra_rows, _normal_intervals, asymptotic_covariance
 from .tscore import (
     ModelOrder,
     _fit_series,
@@ -202,6 +202,11 @@ class McSpec:
 
 @dataclass(frozen=True)
 class McSummaryRow:
+    """One (spec, method, parameter) cell.  ``theory_g`` is the theoretical
+    variance ratio to the baseline: 1 for the baseline, g3 for PMM3 (None where
+    the family has no closed-form sixth cumulant), and for PMM2 g2, except 1
+    on the intercept or mean, whose PMM2 variance is the baseline's."""
+
     label: str
     method: str
     parameter: str
@@ -244,6 +249,10 @@ def _normalize_methods(methods, regression: bool) -> list[str]:
     return list(dict.fromkeys(names))
 
 
+# parameters that PMM2 estimates at the baseline's variance (``linmodel._covariance``)
+_LOCATION = ("intercept", "mean")
+
+
 def _spec_param_names(spec: McSpec) -> list[str]:
     if spec.order is None:
         return ["intercept"] + [f"x{j}" for j in range(1, len(spec.theta))]
@@ -280,14 +289,9 @@ def _fit_method(spec: McSpec, method: str, data, z: float, css=None):
     else:
         fit = css if method == "css" else _fit_series(method.upper(), data, spec.order, css=css)
     fit = _converged(fit)
-    if spec.order is None:
-        cov = asymptotic_covariance(fit, data)
-    else:
-        cov = ts_asymptotic_covariance(fit)
-    est = fit.coefficients
-    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    covered = np.abs(est - np.asarray(spec.theta)) <= z * se
-    return est, covered
+    cov = asymptotic_covariance(fit, data) if spec.order is None else ts_asymptotic_covariance(fit)
+    lo, hi = _normal_intervals(fit.coefficients, cov, z).T
+    return fit.coefficients, (lo <= spec.theta) & (spec.theta <= hi)
 
 
 def _replicate_chunk(args):
@@ -370,7 +374,7 @@ def run_monte_carlo(specs, methods, n_sim: int, seed: int = 0, n_jobs: int = 1):
                     bias=float(bias[j]), variance=float(variance[j]),
                     coverage=float(coverage[j]),
                     gain=None if gain is None else float(gain[j]),
-                    theory_g=theory.get(m)))
+                    theory_g=1.0 if m == "pmm2" and name in _LOCATION else theory.get(m)))
     return results, McSummary(rows=rows, n_sim=n_sim, n_failed=n_failed)
 
 

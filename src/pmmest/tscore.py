@@ -31,7 +31,8 @@ from .errors import (
     InputTooShortError,
     _require_finite,
 )
-from .linmodel import _REGRESSION_FITTERS, DesignProblem, _extra_rows, _moments_or_none, build_design
+from .linmodel import (_REGRESSION_FITTERS, DesignProblem, _covariance, _extra_rows,
+                       _moments_or_none, build_design)
 
 __all__ = [
     "ModelOrder",
@@ -715,13 +716,18 @@ def _fit_series(method: str, x, order: ModelOrder, css: TsFit | None = None,
     return css if method == "CSS" else _two_stage(method, x, w, layout, css, start)
 
 
-def _residual_jtj(fit: TsFit) -> np.ndarray:
-    """J'J, J the central-difference Jacobian of the CSS residuals of ``fit``'s
+def _residual_jacobian(fit: TsFit) -> np.ndarray:
+    """The central-difference Jacobian of the CSS residuals of ``fit``'s
     differenced series at its estimate."""
     order = fit.order
     w = difference(fit.original_series, order.d, order.D, order.s)
     layout = _Layout(order)
-    J = _central_difference(lambda v: css_residuals(w, v, order, layout), fit.coefficients)
+    return _central_difference(lambda v: css_residuals(w, v, order, layout), fit.coefficients)
+
+
+def _residual_jtj(fit: TsFit) -> np.ndarray:
+    """J'J, J the ``_residual_jacobian`` of ``fit``."""
+    J = _residual_jacobian(fit)
     return J.T @ J
 
 
@@ -779,12 +785,8 @@ def simulate_arima(order: ModelOrder, params: "TsParams | np.ndarray", innovatio
 
 
 def ts_asymptotic_covariance(fit: TsFit) -> np.ndarray:
-    """Gauss-Newton asymptotic covariance g * m2 * (J'J)^-1, J = d(residuals)/d(params)."""
-    order = fit.order
-    if not fit.converged:
-        raise FitFailureError("covariance requires a converged fit")
-    if fit.moments is None:
-        raise ValueError("covariance requires residual moments")
-    if order.n_params == 0:
-        return np.zeros((0, 0))
-    return fit.g_coefficient * fit.moments.m2 * np.linalg.inv(_residual_jtj(fit))
+    """Gauss-Newton covariance ``linmodel._covariance``, J the ``_residual_jacobian``."""
+    if fit.order.n_params == 0:
+        return _covariance(fit, np.zeros((0, 0)), np.zeros(0))
+    J = _residual_jacobian(fit)
+    return _covariance(fit, np.linalg.inv(J.T @ J), J.sum(axis=0))

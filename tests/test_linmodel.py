@@ -225,6 +225,39 @@ class TestIteration:
         assert len(calls) == fit.iterations + 1
         assert calls[-1] is fit.residuals
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), log_s=st.floats(-8.0, 8.0),
+           column=st.sampled_from(["y", 0, 1, 2]), fitter=st.sampled_from([fit_pmm2, fit_pmm3]))
+    def test_scale_equivariant(self, seed, log_s, column, fitter):
+        # the stop reads the fitted values' change against sqrt(m2): rescaling y
+        # or one column of X takes the same steps to the rescaled estimate
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([np.ones(80), rng.standard_normal((80, 2))])
+        y = X @ [1.0, 2.0, -1.0] + rng.gamma(2.0, 1.0, 80) - 2.0
+        s = 10.0**log_s
+        base = fitter(DesignProblem(X, y))
+        assert base.converged
+        if column == "y":
+            scaled, expected = fitter(DesignProblem(X, y * s)), base.coefficients * s
+        else:
+            Xs = X.copy()
+            Xs[:, column] *= s
+            scaled, expected = fitter(DesignProblem(Xs, y)), base.coefficients.copy()
+            expected[column] /= s
+        assert scaled.iterations == base.iterations
+        assert scaled.coefficients == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("fitter", [fit_pmm2, fit_pmm3])
+    @pytest.mark.parametrize("noise", [0.0, 1e-13])
+    def test_near_exact_fit_stops_at_rounding(self, fitter, noise):
+        # residuals near the rounding of y, where no step moves the fitted
+        # values by tol * sqrt(m2)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(30)
+        fit = fitter(build_design(1.0 + 2.0 * x + noise * rng.standard_normal(30), [x]))
+        assert fit.converged
+        assert fit.coefficients == pytest.approx([1.0, 2.0], rel=1e-10)
+
     def test_unconverged_fit_reports_on_the_record_alone(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -274,6 +307,17 @@ class TestPmm3:
         assert fit.converged
 
 
+def xtx_inv(prob):
+    return np.linalg.inv(prob.X.T @ prob.X)
+
+
+def pmm2_intercept_variance(fit, prob):
+    """g * m2 * [(X'X)^-1]_00 + (1 - g) * m2 / n: the slope's share at PMM2's
+    variance, the rest at OLS's."""
+    g, m2 = fit.g_coefficient, fit.moments.m2
+    return g * m2 * xtx_inv(prob)[0, 0] + (1.0 - g) * m2 / prob.n
+
+
 class TestInference:
     def test_ols_covariance_exact_form(self):
         prob = gamma_problem(n=60, seed=2)
@@ -292,11 +336,16 @@ class TestInference:
         assert c2 == pytest.approx(c1 / 4.0, rel=1e-8)
 
     def test_pmm2_gamma_covariance_ratio(self):
+        # PMM2 gains g2 = 0.6 on the slope; the intercept keeps OLS's variance
         prob = gamma_problem(n=20_000, seed=10)
         ols, pmm2 = fit_ols(prob), fit_pmm2(prob)
         ratio = np.diag(asymptotic_covariance(pmm2, prob)) \
             / np.diag(asymptotic_covariance(ols, prob))
-        assert ratio == pytest.approx([0.60, 0.60], abs=0.05)
+        assert ratio[1] == pytest.approx(0.60, abs=0.05)
+        assert ratio[0] == pytest.approx(
+            pmm2_intercept_variance(pmm2, prob) / (ols.moments.m2 * xtx_inv(prob)[0, 0]),
+            rel=1e-10)
+        assert ratio[0] == pytest.approx(1.0, abs=0.05)
 
     def test_confidence_interval_quantile(self):
         prob = gamma_problem(n=100, seed=3)
@@ -322,7 +371,32 @@ class TestInference:
         w_ols = np.diff(confidence_intervals(ols, prob), axis=1)
         w_pmm2 = np.diff(confidence_intervals(pmm2, prob), axis=1)
         expected = math.sqrt(pmm2.g_coefficient * pmm2.moments.m2 / ols.moments.m2)
-        assert w_pmm2 / w_ols == pytest.approx(expected, rel=0.01)
+        assert w_pmm2[1] / w_ols[1] == pytest.approx(expected, rel=0.01)
+        intercept = pmm2_intercept_variance(pmm2, prob) / (ols.moments.m2 * xtx_inv(prob)[0, 0])
+        assert w_pmm2[0] / w_ols[0] == pytest.approx(math.sqrt(intercept), rel=1e-10)
+
+    def test_pmm2_location_term_closed_form(self):
+        # a predictor with mean 3, so that (X'X)^-1 couples it to the intercept
+        rng = np.random.default_rng(21)
+        x = 3.0 + rng.standard_normal(150)
+        prob = build_design(1.0 + 2.0 * x + rng.gamma(2.0, 1.0, 150) - 2.0, [x])
+        fit = fit_pmm2(prob)
+        cov = asymptotic_covariance(fit, prob)
+        plain = fit.g_coefficient * fit.moments.m2 * xtx_inv(prob)
+        assert fit.g_coefficient < 0.9
+        assert cov[0, 0] == pytest.approx(pmm2_intercept_variance(fit, prob), rel=1e-12)
+        rest = np.ones((2, 2), dtype=bool)
+        rest[0, 0] = False
+        assert cov[rest] == pytest.approx(plain[rest], rel=1e-12)
+
+    @pytest.mark.parametrize("fitter", [fit_ols, fit_pmm3])
+    def test_ols_and_pmm3_covariance_is_the_plain_formula(self, fitter):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(120)
+        prob = build_design(1.0 + 2.0 * x + rng.uniform(-1.0, 1.0, 120), [x])
+        fit = fitter(prob)
+        expected = fit.g_coefficient * fit.moments.m2 * (prob._rinv @ prob._rinv.T)
+        assert asymptotic_covariance(fit, prob).tobytes() == expected.tobytes()
 
     def test_covariance_requires_a_converged_fit(self):
         prob = unconverged_pmm2_problem()

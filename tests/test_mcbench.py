@@ -209,6 +209,18 @@ class TestRunMonteCarlo:
         row = summary.get("reg", "ols", "x1")
         assert 0.85 <= row.coverage <= 0.99
 
+    def test_theory_g_is_1_on_pmm2_location_parameters(self):
+        ar = McSpec(model="ar", theta=(0.5, 1.0), innovations=InnovationSpec("gamma"),
+                    n=80, label="ar1", order=ModelOrder(p=1))
+        _, summary = run_monte_carlo([tiny_regression_spec(), ar], ("ols", "pmm2"), 50, seed=0)
+        g2 = innovation_theory(InnovationSpec("gamma")).g2
+        theory = {(r.label, r.method, r.parameter): r.theory_g for r in summary.rows}
+        assert theory == {
+            ("reg", "ols", "intercept"): 1.0, ("reg", "ols", "x1"): 1.0,
+            ("reg", "pmm2", "intercept"): 1.0, ("reg", "pmm2", "x1"): g2,
+            ("ar1", "css", "ar1"): 1.0, ("ar1", "css", "mean"): 1.0,
+            ("ar1", "pmm2", "ar1"): g2, ("ar1", "pmm2", "mean"): 1.0}
+
     def test_fit_defect_propagates(self, monkeypatch):
         # only fit failures count as failed replicates; a TypeError is a defect
         def fit_model(*args, **kwargs):

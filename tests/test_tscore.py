@@ -1,5 +1,6 @@
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -401,6 +402,16 @@ class TestFitCss:
         with pytest.raises(FitFailureError, match="non-finite coefficients"):
             fit_ts_pmm3(gamma_ar1_half(1e50), ModelOrder(p=1))
 
+    @pytest.mark.parametrize("fitter", [fit_ts_pmm2, fit_ts_pmm3])
+    @pytest.mark.parametrize("scale", [1e12, 1e20])
+    def test_lag_design_pmm_converges_at_large_scales(self, fitter, scale):
+        # the regression fitters stopped on an absolute coefficient step, which
+        # the intercept, in data units, never met
+        base = fitter(gamma_ar1_half(1.0), ModelOrder(p=1))
+        fit = fitter(gamma_ar1_half(scale), ModelOrder(p=1))
+        assert fit.converged
+        assert fit.params.phi[0] == pytest.approx(base.params.phi[0], rel=1e-8)
+
     def test_ar1_recovery(self):
         rng = np.random.default_rng(42)
         order = ModelOrder(p=1)
@@ -625,6 +636,33 @@ class TestLayout:
                             lambda self, vec: calls.append(1) or polynomials(self, vec))
         fit_css(np.random.default_rng(2).standard_normal(200), ModelOrder(p=1))
         assert len(calls) == 1
+
+
+class TestCovariance:
+    def fit(self, method):
+        order = ModelOrder(p=1, q=1)
+        x = simulate_arima(order, params_for(order, phi=[0.5], theta=[0.3], mean=1.0),
+                           np.random.default_rng(8).gamma(2.0, 1.0, 200) - 2.0)
+        return tscore._fit_series(method, x, order)
+
+    def plain(self, fit):
+        return fit.g_coefficient * fit.moments.m2 * np.linalg.inv(tscore._residual_jtj(fit))
+
+    @pytest.mark.parametrize("method", ["CSS", "PMM3"])
+    def test_css_and_pmm3_are_g_m2_inverse_jtj(self, method):
+        fit = self.fit(method)
+        assert ts_asymptotic_covariance(fit).tobytes() == self.plain(fit).tobytes()
+
+    def test_pmm2_adds_a_rank_one_location_term(self):
+        fit = self.fit("PMM2")
+        assert fit.g_coefficient < 0.9
+        sv = np.linalg.svd(ts_asymptotic_covariance(fit) - self.plain(fit), compute_uv=False)
+        assert sv[0] > 0.0
+        assert sv[1:] == pytest.approx(0.0, abs=1e-10 * sv[0])
+
+    def test_missing_moments_are_a_fit_failure(self):
+        with pytest.raises(FitFailureError, match="requires residual moments"):
+            ts_asymptotic_covariance(replace(self.fit("CSS"), moments=None))
 
 
 class TestRefitStart:
