@@ -4,10 +4,10 @@ Exit codes: 0 success, 2 malformed arguments (flags argparse rejects, any
 ValueError the library raises for an argument, time-series flags given with
 --design, a model needing scipy where it is not installed, and an output path
 that cannot be written), 3 data errors
-(non-numeric, missing values, too-short series), 4 fit failures.  Reports
-are JSON (schema in docs/report_schema.json, version echoed in every
-report); tables and series are CSV with a header row.  All commands are deterministic under
-a fixed --seed.
+(input that is not UTF-8, non-numeric, missing values, too-short series), 4
+fit failures.  Reports are JSON (schema in docs/report_schema.json, version
+echoed in every report); tables and series are CSV with a header row.  The
+commands that draw random numbers are deterministic under a fixed --seed.
 """
 
 import argparse
@@ -75,8 +75,8 @@ def _innovations(text: str) -> InnovationSpec:
     if not rest:
         return InnovationSpec(fam)
     entries = [e.strip() for e in rest.split(",") if e.strip()]
-    try:  # an entry without "=" fails the dict, as a non-number fails float
-        given = dict(e.split("=", 1) for e in entries)
+    try:  # an entry without "=" fails the unpacking, as a non-number fails float
+        given = {k.strip(): v for k, v in (e.split("=", 1) for e in entries)}
         unknown = set(given) - set(keys)
         if unknown:
             raise argparse.ArgumentTypeError(
@@ -102,41 +102,45 @@ def _seed_value(text: str) -> int:
 # ---------------------------------------------------------------------------
 
 def read_csv_columns(path, columns) -> dict[str, np.ndarray]:
-    """Read named columns from a headered CSV; missing, non-numeric and
-    non-finite values are reported with row and column coordinates (header is
-    row 1)."""
+    """Read named columns from a headered CSV in UTF-8 (a byte-order mark is
+    dropped).  Bytes that are not UTF-8 are a DataError naming the file;
+    missing, non-numeric and non-finite values are reported with row and column
+    coordinates (header is row 1)."""
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}")
     with fh:
-        reader = csv.reader(fh)
         try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: empty file")
-        for col in columns:
-            if col not in header:
-                raise DataError(f"{path}: column {col!r} not in header {header}")
-        idx = {c: header.index(c) for c in columns}
-        data: dict[str, list[float]] = {c: [] for c in columns}
-        for rownum, row in enumerate(reader, start=2):
-            if not any(cell.strip() for cell in row):
-                continue
-            for c in columns:
-                i = idx[c]
-                cell = row[i].strip() if i < len(row) else ""
-                if not cell:
-                    raise DataError(f"{path}: row {rownum}, column {c!r}: missing value")
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {rownum}, column {c!r}: non-numeric value {cell!r}")
-                if not math.isfinite(value):
-                    raise DataError(
-                        f"{path}: row {rownum}, column {c!r}: non-finite value {cell!r}")
-                data[c].append(value)
+            rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text "
+                            f"({exc.reason}: {exc.object[exc.start:exc.end]!r})")
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    header = [h.strip() for h in rows[0]]
+    for col in columns:
+        if col not in header:
+            raise DataError(f"{path}: column {col!r} not in header {header}")
+    idx = {c: header.index(c) for c in columns}
+    data: dict[str, list[float]] = {c: [] for c in columns}
+    for rownum, row in enumerate(rows[1:], start=2):
+        if not any(cell.strip() for cell in row):
+            continue
+        for c in columns:
+            i = idx[c]
+            cell = row[i].strip() if i < len(row) else ""
+            if not cell:
+                raise DataError(f"{path}: row {rownum}, column {c!r}: missing value")
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"{path}: row {rownum}, column {c!r}: non-numeric value {cell!r}")
+            if not math.isfinite(value):
+                raise DataError(
+                    f"{path}: row {rownum}, column {c!r}: non-finite value {cell!r}")
+            data[c].append(value)
     if not data[columns[0]]:
         raise DataError(f"{path}: no data rows")
     return {c: np.asarray(v, dtype=float) for c, v in data.items()}
@@ -217,8 +221,7 @@ def cmd_fit(args) -> int:
         kind, n, names, order = "timeseries", data.size, fit.param_names, asdict(fit.order)
     loglik, aic, bic = information_criteria(fit)
     report = {
-        "schema_version": SCHEMA_VERSION, "command": "fit", "seed": args.seed,
-        "kind": kind,
+        "schema_version": SCHEMA_VERSION, "command": "fit", "kind": kind,
         "method": fit.method,
         "n": int(n),
         "coefficients": dict(zip(names, [float(c) for c in fit.coefficients])),
@@ -357,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dispatch_thresholds(p)
     p.add_argument("--horizon", type=int, default=0, help="forecast horizon (time series)")
     p.add_argument("--output", default=None, help="JSON report path (default stdout)")
-    p.add_argument("--seed", type=_seed_value, default=None)
     p.set_defaults(handler=cmd_fit)
 
     p = subs.add_parser("dispatch", help="print the method-selection transcript")
@@ -409,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burnin", type=int, default=100)
     p.add_argument("--label", default=None)
     p.add_argument("--seed", type=_seed_value, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (at least 1)")
     p.add_argument("--output", required=True)
     p.set_defaults(handler=cmd_mc)
 
@@ -422,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=_list_of(float), default=(0.7,))
     p.add_argument("--burnin", type=int, default=100)
     p.add_argument("--seed", type=_seed_value, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (at least 1)")
     p.add_argument("--output", required=True)
     p.set_defaults(handler=cmd_grid)
 

@@ -10,14 +10,17 @@ requested method, and reports MSE / bias / variance / coverage of the
 normal intervals plus the empirical efficiency gain MSE(method) /
 MSE(baseline) next to its theoretical value ``McSummaryRow.theory_g``.
 
-Replicates, serial or in process-pool chunks, run through the bootstraps'
-loop ``inference._replicates`` and follow its drop rule; a replicate dropped
-for one method is dropped for all.
+Replicates run in chunks through the bootstraps' loop
+``inference._replicates`` and follow its drop rule; a replicate dropped for
+one method is dropped for all.  With ``n_jobs`` > 1 (it must be at least
+1), one process pool runs the chunks of every spec and serves the whole call
+(a whole ``mc`` or ``grid`` command); the output does not depend on ``n_jobs``.
 """
 
 import csv
 import math
 from collections.abc import Callable
+from contextlib import nullcontext
 from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
@@ -281,16 +284,19 @@ def _simulate_spec(spec: McSpec, rng: "np.random.Generator"):
     return simulate_arima(spec.order, np.asarray(spec.theta), eps, spec.burnin)
 
 
-def _fit_method(spec: McSpec, method: str, data, z: float, css=None):
+_Z95 = 1.9599639845400536  # NormalDist().inv_cdf(0.975), without importing statistics
+
+
+def _fit_method(spec: McSpec, method: str, data, css=None):
     """Fit one method, from the replicate's converged CSS fit ``css`` when one
-    is given (itself the "css" fit); return (estimates, covered-indicator vector)."""
+    is given (itself the "css" fit); return (estimates, 95%-interval coverage vector)."""
     if css is None:
         fit = fit_model(data, method, spec.order)
     else:
         fit = css if method == "css" else _fit_series(method.upper(), data, spec.order, css=css)
     fit = _converged(fit)
     cov = asymptotic_covariance(fit, data) if spec.order is None else ts_asymptotic_covariance(fit)
-    lo, hi = _normal_intervals(fit.coefficients, cov, z).T
+    lo, hi = _normal_intervals(fit.coefficients, cov, _Z95).T
     return fit.coefficients, (lo <= spec.theta) & (spec.theta <= hi)
 
 
@@ -301,13 +307,11 @@ def _replicate_chunk(args):
     With "css" requested, a series is fit by CSS first and every PMM fit
     starts from that fit, so CSS runs once per replicate; a replicate is
     dropped when any method fails, so the fitting order changes nothing."""
-    from statistics import NormalDist
     spec, methods, seeds = args
-    z = NormalDist().inv_cdf(0.975)  # intervals of nominal 95% coverage
 
     def refit(data):
         css = _converged(fit_model(data, "css", spec.order)) if "css" in methods else None
-        return {m: _fit_method(spec, m, data, z, css) for m in methods}
+        return {m: _fit_method(spec, m, data, css) for m in methods}
 
     return _replicates(seeds, lambda rng: _simulate_spec(spec, rng), refit)
 
@@ -321,60 +325,59 @@ def run_monte_carlo(specs, methods, n_sim: int, seed: int = 0, n_jobs: int = 1):
     matrix with NaN rows for dropped replicates.  A replicate is dropped for
     all methods when any requested method fails on it, keeping the MSE
     comparisons matched; a spec errors out when more than 10% of replicates
-    drop, or (InputTooShortError) before any replicate when n is too short.
+    drop, or (InputTooShortError) before any replicate when any spec's n is
+    too short.  A chunk holds ceil(n_sim / (4 n_jobs)) replicates.
     """
     specs = list(specs)
     if n_sim < 50:
         raise ValueError(f"n_sim must be >= 50, got {n_sim}")
-    labels = [s.label for s in specs]
-    if len(set(labels)) != len(labels):
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    if len({s.label for s in specs}) != len(specs):
         raise ValueError("spec labels must be unique")
-    root = np.random.SeedSequence(seed)
-    spec_streams = root.spawn(len(specs))
+    methods_per_spec = [_normalize_methods(methods, s.order is None) for s in specs]
+    for spec, spec_methods in zip(specs, methods_per_spec):
+        for m in spec_methods:  # before any replicate: a short n fails every one
+            _check_length(spec, m)
+    streams = np.random.SeedSequence(seed).spawn(len(specs))
+    size = math.ceil(n_sim / (4 * n_jobs))
+    pool = nullcontext()
+    if n_jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=n_jobs)
     results: dict[tuple[str, str], np.ndarray] = {}
     rows: list[McSummaryRow] = []
     n_failed: dict[str, int] = {}
-    for si, spec in enumerate(specs):
-        regression = spec.order is None
-        spec_methods = _normalize_methods(methods, regression)
-        for m in spec_methods:  # before any replicate: a short n fails every one
-            _check_length(spec, m)
-        rep_seeds = spec_streams[si].spawn(n_sim)
-        if n_jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            chunk_size = max(1, math.ceil(n_sim / (n_jobs * 4)))
-            chunks = [(spec, spec_methods, rep_seeds[i:i + chunk_size])
-                      for i in range(0, n_sim, chunk_size)]
-            with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-                payloads = [p for part in pool.map(_replicate_chunk, chunks) for p in part]
-        else:
-            payloads = _replicate_chunk((spec, spec_methods, rep_seeds))
-        kept = [p for p in payloads if p is not None]
-        n_failed[spec.label] = n_sim - len(kept)
-        _check_failures(n_failed[spec.label], n_sim, f"replicates of spec {spec.label!r}")
-        keep = np.array([p is not None for p in payloads])
-        names = _spec_param_names(spec)
-        theta = np.asarray(spec.theta)
-        est = {m: np.array([p[m][0] for p in kept]) for m in spec_methods}
-        mses = {m: np.mean((est[m] - theta) ** 2, axis=0) for m in spec_methods}
-        baseline = _method_name("ols", regression).lower()
-        profile = innovation_theory(spec.innovations)
-        theory = {"pmm2": profile.g2, "pmm3": profile.g3, baseline: 1.0}
-        for m in spec_methods:
-            results[(spec.label, m)] = np.full((n_sim, len(names)), np.nan)
-            results[(spec.label, m)][keep] = est[m]
-            bias = est[m].mean(axis=0) - theta
-            variance = est[m].var(axis=0)
-            coverage = np.mean([p[m][1] for p in kept], axis=0)
-            gain = mses[m] / mses[baseline] if baseline in mses else None
-            for j, name in enumerate(names):
-                rows.append(McSummaryRow(
-                    label=spec.label, method=m, parameter=name,
-                    n_used=len(kept), mse=float(mses[m][j]),
-                    bias=float(bias[j]), variance=float(variance[j]),
-                    coverage=float(coverage[j]),
-                    gain=None if gain is None else float(gain[j]),
-                    theory_g=1.0 if m == "pmm2" and name in _LOCATION else theory.get(m)))
+    with pool:
+        run = map if n_jobs == 1 else pool.map
+        for spec, spec_methods, stream in zip(specs, methods_per_spec, streams):
+            seeds = stream.spawn(n_sim)
+            chunks = [(spec, spec_methods, seeds[i:i + size]) for i in range(0, n_sim, size)]
+            payloads = [p for part in run(_replicate_chunk, chunks) for p in part]
+            kept = [p for p in payloads if p is not None]
+            n_failed[spec.label] = n_sim - len(kept)
+            _check_failures(n_failed[spec.label], n_sim, f"replicates of spec {spec.label!r}")
+            names = _spec_param_names(spec)
+            est = {m: np.array([p[m][0] for p in kept]) for m in spec_methods}
+            mses = {m: np.mean((est[m] - spec.theta) ** 2, axis=0) for m in spec_methods}
+            baseline = _method_name("ols", spec.order is None).lower()
+            profile = innovation_theory(spec.innovations)
+            theory = {"pmm2": profile.g2, "pmm3": profile.g3, baseline: 1.0}
+            for m in spec_methods:
+                results[(spec.label, m)] = np.array(
+                    [np.full(len(names), np.nan) if p is None else p[m][0] for p in payloads])
+                bias = est[m].mean(axis=0) - spec.theta
+                variance = est[m].var(axis=0)
+                coverage = np.mean([p[m][1] for p in kept], axis=0)
+                gain = mses[m] / mses[baseline] if baseline in mses else None
+                for j, name in enumerate(names):
+                    rows.append(McSummaryRow(
+                        label=spec.label, method=m, parameter=name,
+                        n_used=len(kept), mse=float(mses[m][j]),
+                        bias=float(bias[j]), variance=float(variance[j]),
+                        coverage=float(coverage[j]),
+                        gain=None if gain is None else float(gain[j]),
+                        theory_g=1.0 if m == "pmm2" and name in _LOCATION else theory.get(m)))
     return results, McSummary(rows=rows, n_sim=n_sim, n_failed=n_failed)
 
 
@@ -413,11 +416,16 @@ class GridResult:
 
 def advantage_grid(gamma3_grid, n_grid, B: int, model: McSpec | None = None,
                    seed: int = 0, n_jobs: int = 1) -> GridResult:
-    """Empirical MSE(PMM2)/MSE(baseline) of the leading parameter per (gamma3, N) cell."""
+    """Empirical MSE(PMM2)/MSE(baseline) of the leading parameter per (gamma3, N)
+    cell; a cell is labelled ``gamma<repr(gamma3)>_n<N>`` and no value may repeat."""
     gamma3_grid = [float(g) for g in gamma3_grid]
     n_grid = [int(n) for n in n_grid]
     if not gamma3_grid or not n_grid:
         raise ValueError("empty grid")
+    for name, grid in (("gamma3", gamma3_grid), ("n", n_grid)):
+        repeated = [v for i, v in enumerate(grid) if v in grid[:i]]
+        if repeated:
+            raise ValueError(f"grid {name} value {repeated[0]!r} is repeated")
     if B < 50:
         raise ValueError(f"B must be >= 50, got {B}")
     if model is None:
@@ -426,14 +434,9 @@ def advantage_grid(gamma3_grid, n_grid, B: int, model: McSpec | None = None,
                        order=ModelOrder(p=1, d=1, q=0))
     names = _spec_param_names(model)
     leading = names[1] if model.order is None and len(names) > 1 else names[0]
-    specs = [replace(model, innovations=skew_innovations(g), n=n,
-                     label=f"gamma{g:g}_n{n}")
+    specs = [replace(model, innovations=skew_innovations(g), n=n, label=f"gamma{g!r}_n{n}")
              for g in gamma3_grid for n in n_grid]
-    _, summary = run_monte_carlo(specs, ("ols", "pmm2"), B, seed=seed,
-                                 n_jobs=n_jobs)
-    values = np.empty((len(gamma3_grid), len(n_grid)))
-    for i, g in enumerate(gamma3_grid):
-        for j, n in enumerate(n_grid):
-            row = summary.get(f"gamma{g:g}_n{n}", "pmm2", leading)
-            values[i, j] = row.gain
-    return GridResult(gamma3=gamma3_grid, n=n_grid, values=values)
+    _, summary = run_monte_carlo(specs, ("ols", "pmm2"), B, seed=seed, n_jobs=n_jobs)
+    gains = [r.gain for r in summary.rows if (r.method, r.parameter) == ("pmm2", leading)]
+    return GridResult(gamma3=gamma3_grid, n=n_grid,
+                      values=np.reshape(gains, (len(gamma3_grid), len(n_grid))))

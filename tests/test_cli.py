@@ -245,6 +245,13 @@ class TestInnovationsFlag:
         assert args.innovations == InnovationSpec(family, params)
         assert args.handler(args) == 0
 
+    def test_spaces_around_equals_are_ignored(self, tmp_path):
+        spaced, plain = tmp_path / "spaced.csv", tmp_path / "plain.csv"
+        for text, out in (("gamma: shape = 3 , rate= 2", spaced), ("gamma:shape=3,rate=2", plain)):
+            assert main(["simulate", "--innovations", text, "--n", "30", "--seed", "1",
+                         "--output", str(out)]) == 0
+        assert spaced.read_bytes() == plain.read_bytes()
+
     def test_unknown_family_and_key_are_usage_errors(self, tmp_path):
         out = str(tmp_path / "sim.csv")
         for text in ("cauchy", "gamma:scale=2"):
@@ -294,6 +301,29 @@ class TestGridCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "gamma3,n,g2_hat"
         assert len(lines) == 3
+
+
+    def test_gamma3_values_that_print_alike_are_separate_cells(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        assert main(["grid", "--grid-gamma3", "0.1234567,0.1234568", "--grid-n", "100",
+                     "--B", "50", "--output", str(out)]) == 0
+        rows = list(csv.reader(out.open()))[1:]
+        assert [row[0] for row in rows] == ["0.1234567", "0.1234568"]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--grid-gamma3", "0.5,0.5", "--grid-n", "100"], "grid gamma3 value 0.5 is repeated"),
+        (["--grid-gamma3", "0.5", "--grid-n", "100,100"], "grid n value 100 is repeated"),
+    ], ids=["gamma3", "n"])
+    def test_repeated_grid_value_is_usage_error(self, flags, message, tmp_path, monkeypatch,
+                                                capsys):
+        def chunk(args):
+            raise AssertionError("a replicate ran before the grid check")
+
+        monkeypatch.setattr(mcbench, "_replicate_chunk", chunk)
+        out = tmp_path / "grid.csv"
+        assert main(["grid", *flags, "--B", "50", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -442,8 +472,9 @@ class TestExitCodes:
 
     # Each flag value that argparse rejects: usage first, then the reason.
     @pytest.mark.parametrize("argv, reason", [
-        (["fit", "--seed", "-1"], "argument --seed: seed must fit in an unsigned 64-bit integer"),
-        (["fit", "--seed", "abc"], "argument --seed: seed must be an integer, got 'abc'"),
+        (["bootstrap", "--seed", "-1"],
+         "argument --seed: seed must fit in an unsigned 64-bit integer"),
+        (["bootstrap", "--seed", "abc"], "argument --seed: seed must be an integer, got 'abc'"),
         (["fit", "--order", "1,0"],
          "argument --order: expected p,d,q as 3 non-negative integers, got '1,0'"),
         (["fit", "--order", "1,-1,0"],
@@ -453,7 +484,7 @@ class TestExitCodes:
     ], ids=["seed-negative", "seed-text", "order-two-values", "order-negative",
             "innovations-positional"])
     def test_rejected_flag_value_prints_usage(self, argv, reason, line_csv, capsys):
-        if argv[0] == "fit":
+        if argv[0] in ("fit", "bootstrap"):
             argv = argv + ["--input", str(line_csv), "--column", "y"]
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -492,6 +523,27 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: " + message.format(path=path))
+        assert err.count("\n") == 1
+
+    def test_byte_order_mark_is_dropped(self, line_csv, tmp_path):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + line_csv.read_bytes())
+        reports = []
+        for path in (line_csv, bom):
+            out = tmp_path / f"{path.stem}.json"
+            assert main(["fit", "--input", str(path), "--column", "y", "--design", "x",
+                         "--method", "ols", "--output", str(out)]) == 0
+            reports.append(load_report(out))
+        assert reports[0] == reports[1]
+
+    def test_bytes_that_are_not_utf8_are_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("y,note\n1.0,caf\u00e9\n2.0,x\n".encode("latin-1"))
+        code = main(["fit", "--input", str(path), "--column", "y", "--method", "css",
+                     "--order", "0,0,0"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: not UTF-8 text (")
         assert err.count("\n") == 1
 
     def test_too_short_series_is_data_error(self, tmp_path):

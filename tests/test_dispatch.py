@@ -276,7 +276,7 @@ def test_entry_points_agree_bit_for_bit(triple, method, fitter, tmp_path):
         boot = block_bootstrap_ts(x, order, method=method, B=2, seed=1)
     assert np.array_equal(boot.estimate, expected)
     spec = McSpec("arima", tuple(expected), InnovationSpec("gamma"), x.size, order=order)
-    est, _ = mcbench._fit_method(spec, method.lower(), x, 1.96)
+    est, _ = mcbench._fit_method(spec, method.lower(), x)
     assert np.array_equal(est, expected)
     path = tmp_path / "series.csv"
     path.write_text("y\n" + "".join(f"{float(v)!r}\n" for v in x))

@@ -196,6 +196,48 @@ class TestRunMonteCarlo:
         assert s1.n_failed == s2.n_failed
         assert s1.rows == s2.rows
 
+    def test_one_pool_serves_every_spec(self, monkeypatch):
+        # one regression and two series specs give the same summaries and
+        # estimates serially and with two workers, which share one pool
+        import concurrent.futures
+
+        pools = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        specs = [tiny_regression_spec(),
+                 McSpec(model="ar", theta=(0.5, 0.0), innovations=InnovationSpec("gamma"),
+                        n=80, label="ar1", order=ModelOrder(p=1)),
+                 McSpec(model="ma", theta=(0.4, 0.0), innovations=InnovationSpec("gamma"),
+                        n=80, label="ma1", order=ModelOrder(q=1))]
+        r1, s1 = run_monte_carlo(specs, ("ols", "pmm2"), 50, seed=12, n_jobs=1)
+        assert pools == []
+        r2, s2 = run_monte_carlo(specs, ("ols", "pmm2"), 50, seed=12, n_jobs=2)
+        assert pools == [{"max_workers": 2}]
+        assert s1 == s2
+        assert r1.keys() == r2.keys()
+        assert all(r1[key].tobytes() == r2[key].tobytes() for key in r1)
+
+    def test_arguments_are_checked_before_any_replicate(self, monkeypatch):
+        def chunk(args):
+            raise AssertionError("a replicate ran before the checks")
+
+        monkeypatch.setattr(mcbench, "_replicate_chunk", chunk)
+        with pytest.raises(ValueError, match="n_jobs must be >= 1, got 0"):
+            run_monte_carlo([tiny_regression_spec()], ("ols",), 50, n_jobs=0)
+        short = McSpec(model="ar", theta=(0.5, 0.0), innovations=InnovationSpec("gamma"),
+                       n=5, label="short", order=ModelOrder(p=1))
+        with pytest.raises(InputTooShortError, match="spec 'short': n = 5 is too short"):
+            run_monte_carlo([tiny_regression_spec(), short], ("ols", "pmm2"), 50)
+
+    def test_interval_quantile_is_the_normal_975_point(self):
+        from statistics import NormalDist
+        assert mcbench._Z95 == NormalDist().inv_cdf(0.975)
+
     def test_ml_is_rejected(self):
         # run_monte_carlo takes the METHODS names that fit_model takes, no alias
         spec = McSpec(model="ar", theta=(0.5, 0.0), innovations=InnovationSpec("gaussian"),
@@ -412,6 +454,16 @@ class TestAdvantageGrid:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             advantage_grid([], [100], B=60)
+
+    def test_repeated_grid_value_is_rejected_before_any_replicate(self, monkeypatch):
+        def chunk(args):
+            raise AssertionError("a replicate ran before the grid check")
+
+        monkeypatch.setattr(mcbench, "_replicate_chunk", chunk)
+        with pytest.raises(ValueError, match="grid gamma3 value 0.5 is repeated"):
+            advantage_grid([0.5, 1.0, 0.5], [100], B=50)
+        with pytest.raises(ValueError, match="grid n value 100 is repeated"):
+            advantage_grid([0.5], [100, 200, 100], B=50)
 
     def test_replications_per_cell_minimum(self):
         with pytest.raises(ValueError, match="B must be >= 50, got 49"):
