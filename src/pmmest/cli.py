@@ -296,7 +296,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _at_least(flag: str, value: int, low: int):
+    """ValueError naming ``flag`` unless ``value`` >= ``low``; the library's own
+    check of the same argument names its parameter, not the flag."""
+    if value < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
+
+
 def cmd_mc(args) -> int:
+    _at_least("--n-sim", args.n_sim, 50)
+    _at_least("--jobs", args.jobs, 1)
     spec = McSpec(model=args.model, theta=args.theta, innovations=args.innovations,
                   n=args.n, label=args.label or args.model, order=_build_order(args),
                   burnin=args.burnin)
@@ -307,6 +316,7 @@ def cmd_mc(args) -> int:
 
 
 def cmd_grid(args) -> int:
+    _at_least("--jobs", args.jobs, 1)
     order = _build_order(args)
     if order is None and args.model != "regression":
         order = ModelOrder(p=1, d=1, q=0)

@@ -240,9 +240,10 @@ def pmm3_weights(m2: float, m4: float, m6: float) -> tuple[float, float]:
     return b1, b3
 
 
-def _pmm2_objective(e, w, m2) -> float:
+def _pmm2_objective(e, w, m2):
     """sum of (0.5*e)*e + c*((e*e)*e/3 - m2*e), c = w[0], in two temporaries:
-    each in-place step is one operation of that expression, in its order."""
+    each in-place step is one operation of that expression, in its order.  The
+    sum runs over the last axis, each row of a stack with its own w and m2."""
     t = e * e
     t *= e
     t /= 3.0
@@ -252,10 +253,10 @@ def _pmm2_objective(e, w, m2) -> float:
     np.multiply(e, 0.5, out=u)
     u *= e
     u += t
-    return float(u.sum())
+    return u.sum(axis=-1)
 
 
-def _pmm3_objective(e, w, m2) -> float:
+def _pmm3_objective(e, w, m2):
     """sum of (0.5*b1)*e*e + (0.25*b3)*((e*e)*(e*e)), (b1, b3) = w, in two
     temporaries, each in-place step one operation of that expression."""
     t = e * e
@@ -264,7 +265,7 @@ def _pmm3_objective(e, w, m2) -> float:
     np.multiply(e, 0.5 * w[0], out=t)
     t *= e
     t += q
-    return float(t.sum())
+    return t.sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -276,7 +277,7 @@ class _Score:
     psi: Callable        # (e, w, m2) -> psi(e)
     dpsi: Callable       # (e, w, m2) -> psi'(e), the weights of the exact Hessian
     slope: Callable      # (w, m2) -> E[psi'(e)], the Newton step divisor
-    objective: Callable  # (e, w, m2) -> summed antiderivative of psi
+    objective: Callable  # (e, w, m2) -> antiderivative of psi summed over the last axis
     clamp: Callable      # (MomentSet | None, warns) -> the fit's g
     extra_obs: int       # observations the weights need beyond the parameter count
     symmetric: bool      # assumes symmetric errors: skewness and b1 < 0 are noted

@@ -47,8 +47,9 @@ _MAX_ITER = 200  # of the PMM2/PMM3 regression fitters
 class DesignProblem:
     """Fixed design matrix (intercept column included when requested) and response.
 
-    ``X`` is read as fixed once constructed: its QR factorization is computed
-    at construction and shared by every fit and covariance of the problem.
+    ``X`` is read as fixed once constructed: its QR factorization
+    (``_factor``) is computed at construction and shared by every fit and
+    covariance of the problem.
     """
 
     X: np.ndarray
@@ -69,25 +70,10 @@ class DesignProblem:
             self.column_names = [f"x{j + 1}" for j in range(k)]
         _require_finite("design matrix X", self.X)
         _require_finite("response y", self.y)
-        q, r = np.linalg.qr(self.X)
-        # X = QR has the singular values and column norms of R.  The rank is
-        # checked on unit-norm columns (a zero column stays zero), whose
-        # condition number is at most sqrt(k) times X's (van der Sluis), so
-        # a design passing with that margin is not rescaled.
-        sv = np.linalg.svd(r, compute_uv=False)
-        if sv[-1] <= math.sqrt(k) * RANK_RTOL * sv[0]:
-            # each column scaled by a power of two (exact), so its squares stay finite
-            u = np.ldexp(r, -np.frexp(np.abs(r).max(axis=0))[1])
-            norms = np.sqrt((u * u).sum(axis=0))
-            sv = np.linalg.svd(u / np.where(norms > 0.0, norms, 1.0), compute_uv=False)
-        if sv[-1] <= RANK_RTOL * sv[0]:
-            raise SingularDesignError(
-                f"design is rank deficient (min/max singular value of the unit-norm "
-                f"columns = {sv[-1]:.3e}/{sv[0]:.3e})")
-        # P = R^-1 Q' (k x n): ``P @ v`` is the least-squares solution
-        # (X'X)^-1 X' v, and R^-1 R^-T is (X'X)^-1
-        self._rinv = np.linalg.solve(r, np.eye(k))
-        self._proj = self._rinv @ q.T
+        rinv, proj, [failure] = _factor(self.X[None])
+        if failure:
+            raise failure
+        self._rinv, self._proj = rinv[0], proj[0]
 
     @property
     def n(self) -> int:
@@ -96,6 +82,35 @@ class DesignProblem:
     @property
     def k(self) -> int:
         return self.X.shape[1]
+
+
+def _factor(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Per design of the stack X (R, n, k), each its own arithmetic: R^-1 and
+    P = R^-1 Q' of X = QR (``P @ v`` is the least-squares solution (X'X)^-1 X' v,
+    R^-1 R^-T is (X'X)^-1), and a SingularDesignError where the rank check
+    fails, else None (that design's factors are those of R = I)."""
+    q, r = np.linalg.qr(X)
+    k = X.shape[-1]
+    # X = QR has the singular values and column norms of R.  The rank is
+    # checked on unit-norm columns (a zero column stays zero), whose
+    # condition number is at most sqrt(k) times X's (van der Sluis), so a
+    # design passing with that margin is not rescaled.
+    sv = np.linalg.svd(r, compute_uv=False)
+    near = sv[:, -1] <= math.sqrt(k) * RANK_RTOL * sv[:, 0]
+    failures = [None] * len(X)
+    if near.any():
+        # each column scaled by a power of two (exact), so its squares stay finite
+        u = np.ldexp(r[near], -np.frexp(np.abs(r[near]).max(axis=1))[1][:, None, :])
+        norms = np.sqrt((u * u).sum(axis=1))
+        sv[near] = np.linalg.svd(u / np.where(norms > 0.0, norms, 1.0)[:, None, :],
+                                 compute_uv=False)
+        full = sv[:, -1] > RANK_RTOL * sv[:, 0]
+        r[~full] = np.eye(k)
+        failures = [None if ok else SingularDesignError(
+            f"design is rank deficient (min/max singular value of the unit-norm "
+            f"columns = {s[-1]:.3e}/{s[0]:.3e})") for ok, s in zip(full, sv)]
+    rinv = np.linalg.solve(r, np.eye(k))
+    return rinv, rinv @ q.swapaxes(1, 2), failures
 
 
 def build_design(y, columns, include_intercept=True, column_names=None) -> DesignProblem:

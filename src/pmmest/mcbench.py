@@ -10,11 +10,15 @@ requested method, and reports MSE / bias / variance / coverage of the
 normal intervals plus the empirical efficiency gain MSE(method) /
 MSE(baseline) next to its theoretical value ``McSummaryRow.theory_g``.
 
-Replicates run in chunks through the bootstraps' loop
-``inference._replicates`` and follow its drop rule; a replicate dropped for
-one method is dropped for all.  With ``n_jobs`` > 1 (it must be at least
-1), one process pool runs the chunks of every spec and serves the whole call
-(a whole ``mc`` or ``grid`` command); the output does not depend on ``n_jobs``.
+Replicates run in chunks and follow the bootstraps' drop rule
+(``inference._replicates``); a replicate dropped for one method is dropped for
+all.  A chunk of a pure AR order after differencing (AR, ARI) is one stack:
+its draws are simulated in one call and each method fits every row at once
+(``tscore._fit_rows``); regression, MA and seasonal specs run one replicate
+at a time.  With ``n_jobs`` > 1 (it must be at least 1), one process pool
+runs the chunks of every spec and serves the whole call (a whole ``mc`` or
+``grid`` command); the output does not depend on ``n_jobs``.
+``advantage_grid`` computes no covariances.
 """
 
 import csv
@@ -27,12 +31,16 @@ import numpy as np
 
 from .cumulants import CumulantProfile, g2_coefficient, g3_coefficient
 from .dispatch import _method_name, fit_model
-from .errors import InputTooShortError
+from .errors import InputTooShortError, _require_finite
 from .inference import _check_failures, _converged, _replicates
 from .linmodel import DesignProblem, _extra_rows, _normal_intervals, asymptotic_covariance
 from .tscore import (
     ModelOrder,
+    _each,
+    _fit_rows,
     _fit_series,
+    _is_pure_ar,
+    _Layout,
     _min_series_length,
     param_names,
     simulate_arima,
@@ -128,7 +136,8 @@ _FAMILIES = {
 
 
 def _resolve(spec: InnovationSpec) -> tuple[_Family, tuple]:
-    """The family record of ``spec`` and its full, validated parameter tuple."""
+    """The family record of ``spec`` and its full, validated parameter tuple;
+    a DataError for a non-finite parameter."""
     family = _FAMILIES.get(spec.family)
     if family is None:
         raise ValueError(f"unknown innovation family {spec.family!r}; "
@@ -137,6 +146,7 @@ def _resolve(spec: InnovationSpec) -> tuple[_Family, tuple]:
     if len(given) > len(family.defaults):
         raise ValueError(f"{spec.family} takes at most {len(family.defaults)} parameters")
     params = given + family.defaults[len(given):]
+    _require_finite(f"{spec.family} parameter list", params)
     if family.invalid(params):
         raise ValueError(family.message)
     return family, params
@@ -190,6 +200,7 @@ class McSpec:
         if self.burnin < 0:
             raise ValueError(f"burnin must be >= 0, got {self.burnin}")
         object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
+        _require_finite("theta", self.theta)
         if not self.label:
             object.__setattr__(self, "label", f"{self.model}_{self.innovations.family}")
         if (self.model == "regression") != (self.order is None):
@@ -287,33 +298,99 @@ def _simulate_spec(spec: McSpec, rng: "np.random.Generator"):
 _Z95 = 1.9599639845400536  # NormalDist().inv_cdf(0.975), without importing statistics
 
 
-def _fit_method(spec: McSpec, method: str, data, css=None):
+def _fit_method(spec: McSpec, method: str, data, css=None, coverage: bool = True):
     """Fit one method, from the replicate's converged CSS fit ``css`` when one
-    is given (itself the "css" fit); return (estimates, 95%-interval coverage vector)."""
+    is given (itself the "css" fit); return its ``_payload``."""
     if css is None:
         fit = fit_model(data, method, spec.order)
     else:
         fit = css if method == "css" else _fit_series(method.upper(), data, spec.order, css=css)
+    return _payload(spec, fit, data, coverage)
+
+
+def _payload(spec: McSpec, fit, data, coverage: bool) -> tuple:
+    """(estimates, 95%-interval coverage vector, None without ``coverage``) of
+    ``fit``, a fit of ``data`` held to the replicate rule."""
     fit = _converged(fit)
+    if not coverage:
+        return fit.coefficients, None
     cov = asymptotic_covariance(fit, data) if spec.order is None else ts_asymptotic_covariance(fit)
     lo, hi = _normal_intervals(fit.coefficients, cov, _Z95).T
     return fit.coefficients, (lo <= spec.theta) & (spec.theta <= hi)
 
 
-def _replicate_chunk(args):
+def _replicate_chunk(args, coverage: bool = True):
     """Payloads {method: (estimates, covered)} of one chunk of replicates, None
-    for a failed replicate: each simulates once and fits every method.
+    for a failed replicate: each simulates once and fits every method;
+    ``covered`` is None without ``coverage``.
 
     With "css" requested, a series is fit by CSS first and every PMM fit
     starts from that fit, so CSS runs once per replicate; a replicate is
-    dropped when any method fails, so the fitting order changes nothing."""
+    dropped when any method fails, so the fitting order changes nothing.  A
+    pure AR order after differencing is simulated and fit as one stack."""
     spec, methods, seeds = args
+    if spec.order is None or not _is_pure_ar(spec.order):
+        def refit(data):
+            css = _converged(fit_model(data, "css", spec.order)) if "css" in methods else None
+            return {m: _fit_method(spec, m, data, css, coverage) for m in methods}
 
-    def refit(data):
-        css = _converged(fit_model(data, "css", spec.order)) if "css" in methods else None
-        return {m: _fit_method(spec, m, data, css) for m in methods}
+        return _replicates(seeds, lambda rng: _simulate_spec(spec, rng), refit)
+    import warnings
 
-    return _replicates(seeds, lambda rng: _simulate_spec(spec, rng), refit)
+    eps = np.array([sample_innovations(spec.innovations, spec.n + spec.burnin,
+                                       np.random.default_rng(child)) for child in seeds])
+    drawn = np.isfinite(eps).all(axis=1)  # NaN rows fail their fits' data checks
+    X = np.full((len(seeds), spec.n), np.nan)
+    X[drawn] = simulate_arima(spec.order, spec.theta, eps[drawn], spec.burnin)
+    layout = _Layout(spec.order)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        css = _fit_rows("CSS", X, layout) if "css" in methods else None
+        fits = [css if m == "css" else _fit_rows(m.upper(), X, layout, css) for m in methods]
+        return [None if isinstance(p, Exception) else p for p in _each(
+            lambda x, *row: {m: _payload(spec, fit, x, coverage) for m, fit in zip(methods, row)},
+            X, *fits)]
+
+
+def _monte_carlo(specs, methods, n_sim: int, seed: int, n_jobs: int, coverage: bool) -> list:
+    """The replicates of ``run_monte_carlo`` and ``advantage_grid``, every
+    argument checked first: per spec (spec, its canonical methods, its n_sim
+    ``_replicate_chunk`` payloads, None where dropped)."""
+    specs = list(specs)
+    if n_sim < 50:
+        raise ValueError(f"n_sim must be >= 50, got {n_sim}")
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    if len({s.label for s in specs}) != len(specs):
+        raise ValueError("spec labels must be unique")
+    methods_per_spec = [_normalize_methods(methods, s.order is None) for s in specs]
+    for spec, spec_methods in zip(specs, methods_per_spec):
+        _resolve(spec.innovations)
+        for m in spec_methods:  # before any replicate: a short n fails every one
+            _check_length(spec, m)
+    streams = np.random.SeedSequence(seed).spawn(len(specs))
+    size = math.ceil(n_sim / (4 * n_jobs))
+    pool = nullcontext()
+    if n_jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=n_jobs)
+    runs = []
+    with pool:
+        run = map if n_jobs == 1 else pool.map
+        for spec, spec_methods, stream in zip(specs, methods_per_spec, streams):
+            seeds = stream.spawn(n_sim)
+            chunks = [(spec, spec_methods, seeds[i:i + size]) for i in range(0, n_sim, size)]
+            payloads = [p for part in run(_replicate_chunk, chunks, [coverage] * len(chunks))
+                        for p in part]
+            _check_failures(payloads.count(None), n_sim, f"replicates of spec {spec.label!r}")
+            runs.append((spec, spec_methods, payloads))
+    return runs
+
+
+def _mses(kept, methods, theta) -> tuple[dict, dict]:
+    """Per method, the kept estimates and their MSE about ``theta``, per parameter."""
+    est = {m: np.array([p[m][0] for p in kept]) for m in methods}
+    return est, {m: np.mean((est[m] - theta) ** 2, axis=0) for m in methods}
 
 
 def run_monte_carlo(specs, methods, n_sim: int, seed: int = 0, n_jobs: int = 1):
@@ -328,56 +405,32 @@ def run_monte_carlo(specs, methods, n_sim: int, seed: int = 0, n_jobs: int = 1):
     drop, or (InputTooShortError) before any replicate when any spec's n is
     too short.  A chunk holds ceil(n_sim / (4 n_jobs)) replicates.
     """
-    specs = list(specs)
-    if n_sim < 50:
-        raise ValueError(f"n_sim must be >= 50, got {n_sim}")
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    if len({s.label for s in specs}) != len(specs):
-        raise ValueError("spec labels must be unique")
-    methods_per_spec = [_normalize_methods(methods, s.order is None) for s in specs]
-    for spec, spec_methods in zip(specs, methods_per_spec):
-        for m in spec_methods:  # before any replicate: a short n fails every one
-            _check_length(spec, m)
-    streams = np.random.SeedSequence(seed).spawn(len(specs))
-    size = math.ceil(n_sim / (4 * n_jobs))
-    pool = nullcontext()
-    if n_jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=n_jobs)
     results: dict[tuple[str, str], np.ndarray] = {}
     rows: list[McSummaryRow] = []
     n_failed: dict[str, int] = {}
-    with pool:
-        run = map if n_jobs == 1 else pool.map
-        for spec, spec_methods, stream in zip(specs, methods_per_spec, streams):
-            seeds = stream.spawn(n_sim)
-            chunks = [(spec, spec_methods, seeds[i:i + size]) for i in range(0, n_sim, size)]
-            payloads = [p for part in run(_replicate_chunk, chunks) for p in part]
-            kept = [p for p in payloads if p is not None]
-            n_failed[spec.label] = n_sim - len(kept)
-            _check_failures(n_failed[spec.label], n_sim, f"replicates of spec {spec.label!r}")
-            names = _spec_param_names(spec)
-            est = {m: np.array([p[m][0] for p in kept]) for m in spec_methods}
-            mses = {m: np.mean((est[m] - spec.theta) ** 2, axis=0) for m in spec_methods}
-            baseline = _method_name("ols", spec.order is None).lower()
-            profile = innovation_theory(spec.innovations)
-            theory = {"pmm2": profile.g2, "pmm3": profile.g3, baseline: 1.0}
-            for m in spec_methods:
-                results[(spec.label, m)] = np.array(
-                    [np.full(len(names), np.nan) if p is None else p[m][0] for p in payloads])
-                bias = est[m].mean(axis=0) - spec.theta
-                variance = est[m].var(axis=0)
-                coverage = np.mean([p[m][1] for p in kept], axis=0)
-                gain = mses[m] / mses[baseline] if baseline in mses else None
-                for j, name in enumerate(names):
-                    rows.append(McSummaryRow(
-                        label=spec.label, method=m, parameter=name,
-                        n_used=len(kept), mse=float(mses[m][j]),
-                        bias=float(bias[j]), variance=float(variance[j]),
-                        coverage=float(coverage[j]),
-                        gain=None if gain is None else float(gain[j]),
-                        theory_g=1.0 if m == "pmm2" and name in _LOCATION else theory.get(m)))
+    for spec, spec_methods, payloads in _monte_carlo(specs, methods, n_sim, seed, n_jobs, True):
+        kept = [p for p in payloads if p is not None]
+        n_failed[spec.label] = n_sim - len(kept)
+        names = _spec_param_names(spec)
+        est, mses = _mses(kept, spec_methods, spec.theta)
+        baseline = _method_name("ols", spec.order is None).lower()
+        profile = innovation_theory(spec.innovations)
+        theory = {"pmm2": profile.g2, "pmm3": profile.g3, baseline: 1.0}
+        for m in spec_methods:
+            results[(spec.label, m)] = np.array(
+                [np.full(len(names), np.nan) if p is None else p[m][0] for p in payloads])
+            bias = est[m].mean(axis=0) - spec.theta
+            variance = est[m].var(axis=0)
+            coverage = np.mean([p[m][1] for p in kept], axis=0)
+            gain = mses[m] / mses[baseline] if baseline in mses else None
+            for j, name in enumerate(names):
+                rows.append(McSummaryRow(
+                    label=spec.label, method=m, parameter=name,
+                    n_used=len(kept), mse=float(mses[m][j]),
+                    bias=float(bias[j]), variance=float(variance[j]),
+                    coverage=float(coverage[j]),
+                    gain=None if gain is None else float(gain[j]),
+                    theory_g=1.0 if m == "pmm2" and name in _LOCATION else theory.get(m)))
     return results, McSummary(rows=rows, n_sim=n_sim, n_failed=n_failed)
 
 
@@ -386,12 +439,19 @@ def run_monte_carlo(specs, methods, n_sim: int, seed: int = 0, n_jobs: int = 1):
 # ---------------------------------------------------------------------------
 
 def skew_innovations(gamma3: float) -> InnovationSpec:
-    """Standardized family with exact skewness gamma3: gamma(4/gamma3^2) or gaussian."""
+    """Standardized family with exact skewness gamma3: gamma(4/gamma3^2) or
+    gaussian; a DataError for a non-finite gamma3, a ValueError where the
+    shape 4/gamma3^2 is not finite (gamma3 below about 1e-154)."""
+    _require_finite("grid skewness", gamma3)
     if gamma3 < 0.0:
         raise ValueError("grid skewness values must be non-negative")
     if gamma3 == 0.0:
         return InnovationSpec("gaussian")
-    return InnovationSpec("gamma", (4.0 / gamma3**2, 1.0))
+    square = gamma3**2
+    if not square or not math.isfinite(4.0 / square):
+        raise ValueError(f"grid skewness {gamma3!r} is too small: the Gamma shape "
+                         f"4/gamma3^2 is not finite")
+    return InnovationSpec("gamma", (4.0 / square, 1.0))
 
 
 @dataclass
@@ -417,7 +477,10 @@ class GridResult:
 def advantage_grid(gamma3_grid, n_grid, B: int, model: McSpec | None = None,
                    seed: int = 0, n_jobs: int = 1) -> GridResult:
     """Empirical MSE(PMM2)/MSE(baseline) of the leading parameter per (gamma3, N)
-    cell; a cell is labelled ``gamma<repr(gamma3)>_n<N>`` and no value may repeat."""
+    cell; a cell is labelled ``gamma<repr(gamma3)>_n<N>`` and no value may repeat.
+
+    The values are the PMM2 gains of ``run_monte_carlo`` on the same specs,
+    from its replicates without their covariances."""
     gamma3_grid = [float(g) for g in gamma3_grid]
     n_grid = [int(n) for n in n_grid]
     if not gamma3_grid or not n_grid:
@@ -436,7 +499,11 @@ def advantage_grid(gamma3_grid, n_grid, B: int, model: McSpec | None = None,
     leading = names[1] if model.order is None and len(names) > 1 else names[0]
     specs = [replace(model, innovations=skew_innovations(g), n=n, label=f"gamma{g!r}_n{n}")
              for g in gamma3_grid for n in n_grid]
-    _, summary = run_monte_carlo(specs, ("ols", "pmm2"), B, seed=seed, n_jobs=n_jobs)
-    gains = [r.gain for r in summary.rows if (r.method, r.parameter) == ("pmm2", leading)]
+    j = names.index(leading)
+    gains = []
+    for spec, (baseline, pmm2), payloads in _monte_carlo(specs, ("ols", "pmm2"), B, seed,
+                                                         n_jobs, False):
+        _, mses = _mses([p for p in payloads if p is not None], (baseline, pmm2), spec.theta)
+        gains.append(float((mses[pmm2] / mses[baseline])[j]))
     return GridResult(gamma3=gamma3_grid, n=n_grid,
                       values=np.reshape(gains, (len(gamma3_grid), len(n_grid))))

@@ -26,13 +26,14 @@ import numpy as np
 
 from .cumulants import _SCORES, MomentSet
 from .errors import (
+    _REPLICATE_FAILURES,
     DegenerateMomentsError,
     FitFailureError,
     InputTooShortError,
     _require_finite,
 )
-from .linmodel import (_REGRESSION_FITTERS, DesignProblem, _covariance, _extra_rows,
-                       _moments_or_none, build_design)
+from .linmodel import (_REGRESSION_FITTERS, DesignProblem, _covariance, _extra_rows, _factor,
+                       _moments_or_none)
 
 __all__ = [
     "ModelOrder",
@@ -182,17 +183,17 @@ class TsFit:
 # ---------------------------------------------------------------------------
 
 def difference(x, d: int = 0, D: int = 0, s: int = 0) -> np.ndarray:
-    """Apply (1-B)^d (1-B^s)^D; output length = len(x) - d - D*s."""
+    """Apply (1-B)^d (1-B^s)^D along the last axis; output length = len(x) - d - D*s."""
     x = np.asarray(x, dtype=float)
     if D > 0 and s < 2:
         raise ValueError("seasonal differencing requires s >= 2")
-    if x.size <= d + D * s:
+    if x.shape[-1] <= d + D * s:
         raise InputTooShortError(
-            f"series of length {x.size} too short for d={d}, D={D}, s={s}")
+            f"series of length {x.shape[-1]} too short for d={d}, D={D}, s={s}")
     for _ in range(d):
         x = np.diff(x)
     for _ in range(D):
-        x = x[s:] - x[:-s]
+        x = x[..., s:] - x[..., :-s]
     return x
 
 
@@ -200,8 +201,9 @@ def integrate_forecast(history, diffs_forecast, d: int = 0, D: int = 0,
                        s: int = 0) -> np.ndarray:
     """Invert differencing: extend ``history`` by the integrated forecasts.
 
-    ``diffs_forecast`` holds future values on the (1-B)^d (1-B^s)^D scale;
-    the return value is on the original scale and satisfies the round trip
+    ``diffs_forecast`` holds future values on the (1-B)^d (1-B^s)^D scale, or
+    rows of them, each integrated from the same history; the return value is on
+    the original scale and satisfies the round trip
     integrate_forecast(x[:m], difference(x)[m - d - D*s:]) == x[m:].
     """
     history = np.asarray(history, dtype=float)
@@ -222,12 +224,13 @@ def integrate_forecast(history, diffs_forecast, d: int = 0, D: int = 0,
         seasonal.append(h)
     for j in range(D, 0, -1):
         # seeded by the last s values at the coarser level; each phase is a cumsum
-        out = np.concatenate([seasonal[j - 1][-s:], fc])
+        head = np.broadcast_to(seasonal[j - 1][-s:], fc.shape[:-1] + (s,))
+        out = np.concatenate([head, fc], axis=-1)
         for phase in range(s):
-            out[phase::s] = np.cumsum(out[phase::s])
-        fc = out[s:]
+            out[..., phase::s] = np.cumsum(out[..., phase::s], axis=-1)
+        fc = out[..., s:]
     for j in range(d, 0, -1):
-        fc = np.cumsum(fc) + regular[j - 1][-1]
+        fc = np.cumsum(fc, axis=-1) + regular[j - 1][-1]
     return fc
 
 
@@ -308,11 +311,11 @@ def _linear_filter():
 
 
 def _lfilter(num, den, x) -> np.ndarray:
-    """``scipy.signal.lfilter(num, den, x)`` for 1-D float arrays with den[0] == 1,
-    bit for bit.  A length-1 denominator is the finite convolution ``lfilter``
-    itself computes for it; a longer one goes to the compiled routine
-    ``lfilter`` dispatches to."""
-    if den.size == 1:
+    """``scipy.signal.lfilter(num, den, x)`` along the last axis of a float array
+    with den[0] == 1, bit for bit.  A 1-D ``x`` with a length-1 denominator is the
+    finite convolution ``lfilter`` itself computes for it; anything else goes to
+    the compiled routine ``lfilter`` dispatches to, each row of a stack its own."""
+    if den.size == 1 and x.ndim == 1:
         return np.convolve(num, x)[:x.size]
     return _linear_filter()(num, den, x, -1)
 
@@ -350,10 +353,19 @@ def ar_design_matrix(x, p: int, include_mean: bool = True) -> DesignProblem:
         raise InputTooShortError(
             f"series length {n} too short for an AR({p}) lag design: "
             f"{n - p} rows for {k} columns")
-    y = x[p:]
-    cols = [x[p - j:n - j] for j in range(1, p + 1)]
-    names = [f"ar{j}" for j in range(1, p + 1)]
-    return build_design(y, cols, include_intercept=include_mean, column_names=names)
+    X, y = _lag_design(x[None], p, include_mean)
+    names = ["intercept"] * include_mean + [f"ar{j}" for j in range(1, p + 1)]
+    return DesignProblem(X[0], y[0], names)
+
+
+def _lag_design(W: np.ndarray, p: int, include_mean: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The lag designs (R, m - p, k) and responses (R, m - p) of the rows of W
+    (R, m): response x_t, columns 1 (with a mean) and x_{t-1} .. x_{t-p}."""
+    (R, m), c = W.shape, int(include_mean)
+    X = np.ones((R, m - p, c + p))
+    for j in range(1, p + 1):
+        X[:, :, c + j - 1] = W[:, p - j:m - j]
+    return X, W[:, p:]
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +505,8 @@ def _lag_design_route(method: str, order: ModelOrder) -> bool:
 
     That PMM2 estimator is the minimizer of the frozen-moment objective reached
     from the CSS start (acceptance criterion 7 checks its objective against the
-    CSS one), which the regression with refreshed weights is not; ``_two_stage``
-    reaches it by exact Newton.
+    CSS one), which the regression with refreshed weights is not; ``_fit_rows``
+    reaches it by exact Newton (``_newton_ar``).
     """
     return _is_pure_ar(order) and (method != "PMM2" or order.d + order.D == 0)
 
@@ -502,9 +514,9 @@ def _lag_design_route(method: str, order: ModelOrder) -> bool:
 def _finish_ts_fit(method, x, w, vec, layout, warns, converged, frozen=None) -> TsFit:
     """The fit of parameter vector ``vec`` of ``layout``'s order: its residuals,
     sum of squares and moments, or the capped objective of the (weights,
-    moments) a two-stage fit froze when ``frozen`` gives them; g is the
-    ``_SCORES[method]`` clamp of the moments (1 for CSS).  Non-finite
-    coefficients are a FitFailureError."""
+    moments) a two-stage fit froze when ``frozen`` gives them, with a note when
+    its optimizer did not converge; g is the ``_SCORES[method]`` clamp of the
+    moments (1 for CSS).  Non-finite coefficients are a FitFailureError."""
     if not np.isfinite(vec).all():
         raise FitFailureError(f"{method} fit reached non-finite coefficients")
     order = layout.order
@@ -513,26 +525,33 @@ def _finish_ts_fit(method, x, w, vec, layout, warns, converged, frozen=None) -> 
     if frozen is None:  # moments first: they raise where the squares overflow
         moments = _moments_or_none(residuals)
         objective = float((residuals * residuals).sum())
-    else:  # under the errstate of ``_two_stage``, the one caller that freezes
+    else:  # under the errstate of ``_fit_rows``, the one caller that freezes
         weights, moments = frozen
         objective = _capped(score, weights, moments.m2, residuals)
+        if not converged:
+            warns.append(f"{method} optimizer did not converge")
     g = score.clamp(moments, warns) if score is not None else 1.0
     _unit_region_warnings(layout.num, layout.den, warns)  # those of the residuals
     return TsFit(method, order, vec, residuals, x, moments, g, objective, converged, warns)
 
 
-def _lag_design_fit(method, x, w, layout) -> TsFit:
-    """Fit a pure AR order by the ``method`` regression fitter (OLS for CSS) on
-    the lag design of ``w``.
+def _each(f, *columns) -> list:
+    """``f`` of each row of ``columns``, or the fit failure (``_REPLICATE_FAILURES``)
+    it raised; a row that holds a failure already keeps it."""
+    out = []
+    for row in zip(*columns):
+        held = [v for v in row if isinstance(v, Exception)]
+        try:
+            out.append(held[0] if held else f(*row))
+        except _REPLICATE_FAILURES as exc:
+            out.append(exc)
+    return out
 
-    The regression intercept c maps to the process mean c / (1 - sum(phi)).
-    """
-    order = layout.order
-    fitter = _REGRESSION_FITTERS["OLS" if method == "CSS" else method]
-    rfit = fitter(ar_design_matrix(w, order.p, include_mean=order.include_mean))
-    warns = list(rfit.warnings)
-    vec = rfit.coefficients
-    if order.include_mean:
+
+def _lag_fit(method, x, w, layout, vec, warns, converged) -> TsFit:
+    """The fit of lag-design coefficients ``vec`` (intercept c first, with a
+    mean) of a pure AR order; c maps to the process mean c / (1 - sum(phi))."""
+    if layout.order.include_mean:
         intercept, phi = vec[0], vec[1:]
         ar_sum = 1.0 - float(np.sum(phi))
         if abs(ar_sum) > 1e-10:
@@ -541,24 +560,36 @@ def _lag_design_fit(method, x, w, layout) -> TsFit:
             mean = float(np.mean(w))
             warns.append("AR coefficients sum to ~1; mean set to the sample mean")
         vec = np.concatenate([phi, [mean]])
-    return _finish_ts_fit(method, x, w, vec, layout, warns, rfit.converged)
+    return _finish_ts_fit(method, x, w, vec, layout, warns, converged)
 
 
 def _capped(score, weights, m2: float, eps: np.ndarray) -> float:
     """``score.objective`` of residuals ``eps``; +inf where some e^2 exceeds
-    1e6 * m2 (residuals past 1000 sd flag an exploding recursion).  Callers
-    silence overflow and invalid-value warnings, once per optimizer run."""
+    1e6 * m2 (residuals past 1000 sd flag an exploding recursion; ``_newton_ar``
+    caps each row alike).  Callers silence overflow and invalid-value
+    warnings, once per optimizer run."""
     # max e^2 is the square of max |e|; NaN and inf fail the test as well
     a = np.abs(eps).max()
     if not a * a <= 1e6 * m2:
         return math.inf
-    return score.objective(eps, weights, m2)
+    return float(score.objective(eps, weights, m2))
 
 
-def _newton_ar(score, weights, m2: float, w: np.ndarray,
-               phi0: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Minimize the frozen ``score`` objective over pure AR coefficients by Newton;
-    returns (phi, converged).
+def _positive_definite(H: np.ndarray) -> np.ndarray:
+    """Per matrix of the stack H, whether Cholesky factors it."""
+    try:
+        np.linalg.cholesky(H)
+        return np.ones(len(H), dtype=bool)
+    except np.linalg.LinAlgError:
+        return np.array([len(H) > 1 and _positive_definite(h[None])[0] for h in H])
+
+
+def _newton_ar(score, weights, m2, W, phi0) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize the frozen ``score`` objective over pure AR coefficients by Newton
+    for each row of the differenced series W (..., m); returns (phi, converged)
+    of shapes (..., p) and (...).  Row i starts at phi0[i] with the weights
+    ``weights[:, i]`` and ``m2[i]`` (or one tuple and one m2 for all rows), and
+    stops by the rules below; its arithmetic is its own, whatever the stack.
 
     Without a mean, CSS residuals of a pure AR order are linear in phi:
     e = w - Z phi, Z the lags of ``w`` with presample zeros, as in
@@ -569,63 +600,76 @@ def _newton_ar(score, weights, m2: float, w: np.ndarray,
 
     Converged means that the Newton decrement r'H^-1 r (r the gradient,
     measured in the Hessian's metric) is below 1e-10 of max(|Q|, m * m2),
-    m * m2 being about twice the objective at the CSS start.  Returns after
-    the full step (no cap, no backtracking) of a point where the decrement
-    met that tolerance, and where the step, or the Armijo backtracking, falls
+    m * m2 being about twice the objective at the CSS start.  Stops after the
+    full step (no cap, no backtracking) of a point where the decrement met
+    that tolerance, and where the step, or the Armijo backtracking, falls
     below 1e-12 relative: a step that shrinks to nothing against the
     explosion cap is not convergence.
     """
-    m, p = w.size, phi0.size
-    Z = np.zeros((m, p))
+    lead, m = np.shape(W)[:-1], np.shape(W)[-1]
+    W = np.reshape(W, (-1, m))
+    phi = np.array(phi0, dtype=float).reshape(len(W), -1)
+    (R, p), nw = phi.shape, len(weights)
+    wts = np.broadcast_to(np.reshape(weights, (nw, -1, 1)), (nw, R, 1))
+    m2 = np.broadcast_to(np.reshape(m2, (-1, 1)), (R, 1))
+    Z = np.zeros((R, m, p))
     for j in range(1, p + 1):
-        Z[j:, j - 1] = w[:m - j]
-    phi = np.array(phi0, dtype=float)
-    e = w - Z @ phi
-    f = _capped(score, weights, m2, e)
-    if not math.isfinite(f):
-        return phi, False
+        Z[:, j:, j - 1] = W[:, :m - j]
+
+    def capped(e, wts, m2):  # ``_capped`` of each row
+        a = np.abs(e).max(axis=1)
+        return np.where(a * a <= 1e6 * m2[:, 0], score.objective(e, wts, m2), math.inf)
+
+    e = W - (Z @ phi[..., None])[..., 0]
+    f = capped(e, wts, m2)
+    out, converged = phi.copy(), np.zeros(R, dtype=bool)
+    rows, go = np.arange(R), np.isfinite(f)
     for _ in range(500):
-        r = Z.T @ score.psi(e, weights, m2)  # minus the gradient
-        H = Z.T @ (score.dpsi(e, weights, m2)[:, None] * Z)
-        try:
-            np.linalg.cholesky(H)
-        except np.linalg.LinAlgError:
-            H = Z.T @ Z
-        d = np.linalg.solve(H, r)
-        decrement = float(r @ d)
-        if not math.isfinite(decrement):
-            return phi, False
-        converged = decrement <= 1e-10 * max(abs(f), m * m2)
-        size = max(1.0, np.abs(phi).max())
-        dnorm = np.abs(d).max()
-        alpha = min(1.0, 0.1 * size / dnorm) if dnorm > 1e-12 * size else 0.0
-        zd = Z @ d
-        while alpha * dnorm > 1e-12 * size:
-            en = e - alpha * zd
-            fn = _capped(score, weights, m2, en)
-            if math.isfinite(fn) and fn <= f - 1e-4 * alpha * decrement:
-                break
-            alpha *= 0.5
-        else:  # the step, or what backtracking left of it, is below 1e-12
-            return phi, converged
-        phi = phi + alpha * d
-        if converged and alpha == 1.0:
-            return phi, True
-        e, f = en, fn
-    return phi, False
+        if not go.all():  # keep the rows that go on
+            rows, Z, e, phi, f, m2 = (v[go] for v in (rows, Z, e, phi, f, m2))
+            wts = wts[:, go]
+        if not rows.size:
+            break
+        Zt = Z.swapaxes(1, 2)
+        r = (Zt @ score.psi(e, wts, m2)[..., None])[..., 0]  # minus the gradient
+        H = Zt @ (score.dpsi(e, wts, m2)[..., None] * Z)
+        flat = ~_positive_definite(H)
+        if flat.any():
+            Zf = Z[flat]
+            H[flat] = Zf.swapaxes(1, 2) @ Zf
+        d = np.linalg.solve(H, r[..., None])[..., 0]
+        decrement = (r[:, None, :] @ d[..., None])[:, 0, 0]
+        ok = decrement <= 1e-10 * np.maximum(np.abs(f), m * m2[:, 0])  # False if not finite
+        size = np.maximum(1.0, np.abs(phi).max(axis=1))
+        dnorm = np.abs(d).max(axis=1)
+        with np.errstate(divide="ignore"):
+            alpha = np.where(dnorm > 1e-12 * size, np.minimum(1.0, 0.1 * size / dnorm), 0.0)
+        zd = (Z @ d[..., None])[..., 0]
+        search = np.isfinite(decrement) & (alpha * dnorm > 1e-12 * size)
+        moved = np.zeros(rows.size, dtype=bool)
+        while search.any():
+            s = np.flatnonzero(search)
+            en = e[s] - alpha[s, None] * zd[s]
+            fn = capped(en, wts[:, s], m2[s])
+            passed = np.isfinite(fn) & (fn <= f[s] - 1e-4 * alpha[s] * decrement[s])
+            e[s[passed]], f[s[passed]], moved[s[passed]] = en[passed], fn[passed], True
+            alpha[s[~passed]] *= 0.5
+            search[s] = ~passed & (alpha[s] * dnorm[s] > 1e-12 * size[s])
+        phi[moved] = phi[moved] + alpha[moved, None] * d[moved]
+        # a row stops unmoved (its step, or what backtracking left of it, is
+        # below 1e-12), or after a full step from a point within tolerance
+        go = moved & ~(ok & (alpha == 1.0))
+        out[rows[~go]], converged[rows[~go]] = phi[~go], ok[~go]
+    else:  # the rows left at the iteration cap, unconverged
+        out[rows[go]] = phi[go]
+    return out.reshape(lead + (p,)), converged.reshape(lead)
 
 
-def _two_stage(method: str, x: np.ndarray, w: np.ndarray, layout: _Layout,
-               css: TsFit, start: tuple | None) -> TsFit:
-    """The ``_SCORES[method]`` objective minimized from ``css``, the CSS fit of
-    ``x``, with its residual moments frozen; unusable moments return a copy of
-    ``css`` with a note, and ``css`` itself is never modified.
-
-    ARI(p,d,0), the one pure AR order routed here, is minimized by
-    ``_newton_ar``, any other order by ``minimize_qn``, from the inverse
-    Hessian (E[psi'] J'J)^-1 when ``start`` carries the inverse of J'J.
-    """
-    order = layout.order
+def _frozen(method: str, css: TsFit):
+    """The ``_SCORES[method]`` weights that the CSS fit ``css`` freezes and the
+    notes of the PMM stage, as a pair; a copy of ``css`` with a note where its
+    moments leave the weights undefined (``css`` itself is never modified);
+    a FitFailureError where ``css`` did not converge."""
     score = _SCORES[method]
     if not css.converged:
         raise FitFailureError(f"CSS stage did not converge; {method} stage aborted")
@@ -644,28 +688,14 @@ def _two_stage(method: str, x: np.ndarray, w: np.ndarray, layout: _Layout,
                      f"{method} assumes symmetric errors")
     if score.symmetric and weights[0] < 0.0:
         warns.append(f"b1 < 0 (platykurtic residuals): {method} objective may be nonconvex")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if _is_pure_ar(order):
-            vec, converged = _newton_ar(score, weights, mom.m2, w, css.coefficients)
-        else:
-            inverse = None if start is None else start[1]
-            vec, _, converged = minimize_qn(
-                lambda v: _capped(score, weights, mom.m2, css_residuals(w, v, order, layout)),
-                css.coefficients,
-                None if inverse is None else inverse / score.slope(weights, mom.m2))
-        if not converged:
-            warns.append(f"{method} optimizer did not converge")
-        return _finish_ts_fit(method, x, w, vec, layout, warns, converged, (weights, mom))
+    return weights, warns
 
 
-def _css_fit(x: np.ndarray, w: np.ndarray, layout: _Layout,
-             start: tuple | None = None) -> TsFit:
-    """The CSS fit of ``w``, the differenced ``x``: the lag-design OLS fit of a
-    pure nonseasonal AR order, white noise as it is, and any other order by
+def _css_fit(x: np.ndarray, w: np.ndarray, layout: _Layout, start: tuple | None) -> TsFit:
+    """The CSS fit of ``w``, the differenced ``x``, of an order that is not a
+    pure nonseasonal AR: white noise as it is, and any other order by
     quasi-Newton from ``start`` (see ``_fit_series``)."""
     order = layout.order
-    if _is_pure_ar(order):
-        return _lag_design_fit("CSS", x, w, layout)
     x0 = np.zeros(order.n_params) if start is None else np.array(start[0], dtype=float)
     if order.include_mean:
         x0[-1] = np.mean(w)
@@ -685,15 +715,71 @@ def _css_fit(x: np.ndarray, w: np.ndarray, layout: _Layout,
     return _finish_ts_fit("CSS", x, w, vec, layout, warns, converged)
 
 
+def _fit_rows(method: str, X: np.ndarray, layout: _Layout, css: list | None = None,
+              start: tuple | None = None) -> list:
+    """The ``method`` fits of the rows of X (R, n), series of ``layout``'s order
+    long enough for it: per row a TsFit or the fit failure it raised (``_each``),
+    each row's arithmetic its own.  ``css`` gives the rows' CSS fits; ``start``
+    is that of ``_fit_series``.
+
+    A pure nonseasonal AR order after differencing is fit on the lag design:
+    CSS by the OLS fit of every row at once (``linmodel._factor``), ARI(p,d,0)
+    PMM2 by Newton for every row at once from its CSS fit (``_newton_ar``),
+    any other PMM fit by the regression of the method, row by row.  Any other
+    order is fit row by row: CSS by ``_css_fit``, PMM by quasi-Newton from the
+    CSS fit, with the inverse Hessian (E[psi'] J'J)^-1 when ``start`` carries
+    the inverse of J'J.  A PMM fit freezes its CSS fit's moments (``_frozen``).
+    """
+    order, pure_ar = layout.order, _is_pure_ar(layout.order)
+    W = difference(X, order.d, order.D, order.s)
+    if method != "CSS" and _lag_design_route(method, order):
+        def regression(x, w):
+            rfit = _REGRESSION_FITTERS[method](ar_design_matrix(w, order.p, order.include_mean))
+            return _lag_fit(method, x, w, layout, rfit.coefficients, list(rfit.warnings),
+                            rfit.converged)
+        return _each(regression, X, W)
+    if css is None and pure_ar:
+        # differences of finite x may overflow: DesignProblem's checks, row by row
+        held = _each(lambda w: _require_finite("design matrix X", w[:-1])
+                     or _require_finite("response y", w[order.p:]), W)
+        usable = np.array([h is None for h in held])
+        design, y = _lag_design(W if usable.all() else np.where(usable[:, None], W, 0.0),
+                                order.p, order.include_mean)
+        _, proj, failures = _factor(design)
+        css = _each(lambda x, w, vec, *_: _lag_fit("CSS", x, w, layout, vec, [], True),
+                    X, W, (proj @ y[..., None])[..., 0], held, failures)
+    elif css is None:
+        css = _each(lambda x, w: _css_fit(x, w, layout, start), X, W)
+    if method == "CSS":
+        return css
+    score, stages = _SCORES[method], _each(lambda fit: _frozen(method, fit), css)
+    rows = [i for i, stage in enumerate(stages) if isinstance(stage, tuple)]
+    weights, m2 = [stages[i][0] for i in rows], [css[i].moments.m2 for i in rows]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if pure_ar and rows:
+            vecs, converged = _newton_ar(score, np.transpose(weights), m2, W[rows],
+                                         [css[i].coefficients for i in rows])
+        else:
+            inverse = None if start is None else start[1]
+            runs = [minimize_qn(
+                lambda v: _capped(score, c, v2, css_residuals(W[i], v, order, layout)),
+                css[i].coefficients, None if inverse is None else inverse / score.slope(c, v2))
+                for i, c, v2 in zip(rows, weights, m2)]
+            vecs, converged = [r[0] for r in runs], [r[2] for r in runs]
+        fits = _each(lambda i, vec, ok: _finish_ts_fit(
+            method, X[i], W[i], vec, layout, stages[i][1], bool(ok),
+            (stages[i][0], css[i].moments)), rows, vecs, converged)
+    for i, fit in zip(rows, fits):
+        stages[i] = fit
+    return stages
+
+
 def _fit_series(method: str, x, order: ModelOrder, css: TsFit | None = None,
                 start: tuple | None = None) -> TsFit:
-    """Fit ``order`` to ``x`` by "CSS", "PMM2" or "PMM3": the one time-series route.
-
-    A pure nonseasonal AR order after differencing is the lag-design regression
-    of the same method (OLS for CSS).  Any other CSS order is minimized by
-    quasi-Newton, and white noise is not minimized.  Any other PMM order is the
-    two-stage fit from the CSS fit.  A given ``css``, the CSS fit of the same
-    ``x`` and ``order``, is that CSS fit: "CSS" returns it.
+    """Fit ``order`` to ``x`` by "CSS", "PMM2" or "PMM3": the one time-series
+    route, a batch of one of ``_fit_rows`` after the checks of finiteness and
+    length.  A given ``css``, the CSS fit of the same ``x`` and ``order``, is
+    that CSS fit: "CSS" returns it.
 
     ``start``, private to refits near an earlier fit (``_refit_start``), is a
     pair (vector, inverse of J'J or None) that only the quasi-Newton runs read:
@@ -707,13 +793,10 @@ def _fit_series(method: str, x, order: ModelOrder, css: TsFit | None = None,
     if x.size <= need:
         raise InputTooShortError(
             f"series length {x.size} too short for order requiring > {need} observations")
-    w = difference(x, order.d, order.D, order.s)
-    layout = _Layout(order)
-    if method != "CSS" and _lag_design_route(method, order):
-        return _lag_design_fit(method, x, w, layout)
-    if css is None:
-        css = _css_fit(x, w, layout, start)
-    return css if method == "CSS" else _two_stage(method, x, w, layout, css, start)
+    [fit] = _fit_rows(method, x[None], _Layout(order), None if css is None else [css], start)
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 def _residual_jacobian(fit: TsFit) -> np.ndarray:
@@ -766,7 +849,8 @@ def simulate_arima(order: ModelOrder, params: "TsParams | np.ndarray", innovatio
     ``params`` is a TsParams or its parameter vector (``TsParams.to_vector``).
     The first ``burnin`` generated values are discarded before integration, so
     the output has length len(innovations) - burnin.  Burn-in only makes sense
-    for stationary AR polynomials; this is not enforced.
+    for stationary AR polynomials; this is not enforced.  Rows of a 2-D
+    ``innovations`` are simulated as separate series in one filter call.
     """
     vec = _vector(params, order)
     parts = _split(vec, order)  # the mean is 0.0, unchecked, without a mean term
@@ -774,10 +858,10 @@ def simulate_arima(order: ModelOrder, params: "TsParams | np.ndarray", innovatio
         _require_finite(f"parameter {name}", part)
     eps = np.asarray(innovations, dtype=float)
     _require_finite("innovations", eps)
-    if burnin < 0 or burnin >= eps.size:
+    if burnin < 0 or burnin >= eps.shape[-1]:
         raise ValueError(f"burnin={burnin} must be in [0, len(innovations))")
     num, den = _Layout(order).polynomials(vec)
-    z = _lfilter(den, num, eps)[burnin:]
+    z = _lfilter(den, num, eps)[..., burnin:]
     if order.include_mean:
         z = z + parts[-1]
     return integrate_forecast(np.zeros(order.d + order.D * order.s), z,

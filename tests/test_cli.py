@@ -491,14 +491,23 @@ class TestExitCodes:
         assert err.startswith(f"usage: pmmest {argv[0]} ")
         assert err.endswith(f"pmmest {argv[0]}: error: {reason}\n")
 
-    # B (grid) and burnin (mc) are checked before any replicate, in their own names
+    # B (grid), burnin (mc), --n-sim (mc) and --jobs are checked before any
+    # replicate, in the names of their flags
     @pytest.mark.parametrize("argv, message", [
         (["grid", "--grid-gamma3", "0", "--grid-n", "100", "--B", "10"],
          "B must be >= 50, got 10"),
         (["mc", "--model", "ar", "--order", "1,0,0", "--theta", "0.5,0",
           "--innovations", "gamma", "--n", "80", "--n-sim", "50", "--burnin", "-1"],
          "burnin must be >= 0, got -1"),
-    ], ids=["grid-B", "mc-burnin"])
+        (["mc", "--model", "ar", "--order", "1,0,0", "--theta", "0.5,0",
+          "--innovations", "gamma", "--n", "80", "--n-sim", "10"],
+         "--n-sim must be >= 50, got 10"),
+        (["mc", "--model", "arima", "--order", "1,1,0", "--theta", "0.5",
+          "--innovations", "gamma", "--n", "80", "--n-sim", "50", "--jobs", "0"],
+         "--jobs must be >= 1, got 0"),
+        (["grid", "--grid-gamma3", "0", "--grid-n", "100", "--B", "50", "--jobs", "0"],
+         "--jobs must be >= 1, got 0"),
+    ], ids=["grid-B", "mc-burnin", "mc-n-sim", "mc-jobs", "grid-jobs"])
     def test_replicate_argument_names_its_flag(self, argv, message, tmp_path, monkeypatch,
                                                capsys):
         def chunk(args):
@@ -508,6 +517,39 @@ class TestExitCodes:
         out = tmp_path / "out.csv"
         assert main(argv + ["--output", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    # non-finite or unusable Monte Carlo parameters fail before any replicate
+    # with one line: a non-finite value is a data error (3), a skewness whose
+    # Gamma shape 4/gamma3^2 is not finite a usage error (2)
+    @pytest.mark.parametrize("argv, code, message", [
+        (["grid", "--grid-gamma3", "1e-200", "--grid-n", "100", "--B", "50"], 2,
+         "error: grid skewness 1e-200 is too small: the Gamma shape 4/gamma3^2 is not finite"),
+        (["grid", "--grid-gamma3", "1e-160", "--grid-n", "100", "--B", "50"], 2,
+         "error: grid skewness 1e-160 is too small: the Gamma shape 4/gamma3^2 is not finite"),
+        (["grid", "--grid-gamma3", "nan", "--grid-n", "100", "--B", "50"], 3,
+         "data error: grid skewness contains NaN or infinite values"),
+        (["mc", "--model", "arima", "--order", "1,1,0", "--theta", "nan",
+          "--innovations", "gamma", "--n", "80", "--n-sim", "50"], 3,
+         "data error: theta contains NaN or infinite values"),
+        (["mc", "--model", "regression", "--theta", "1,nan", "--innovations", "gamma",
+          "--n", "80", "--n-sim", "50"], 3, "data error: theta contains NaN or infinite values"),
+        (["mc", "--model", "arima", "--order", "1,1,0", "--theta", "0.5",
+          "--innovations", "gamma:shape=nan", "--n", "80", "--n-sim", "50"], 3,
+         "data error: gamma parameter list contains NaN or infinite values"),
+    ], ids=["grid-gamma3-underflow", "grid-gamma3-shape-inf", "grid-gamma3-nan", "mc-theta-nan",
+            "mc-regression-theta-nan", "mc-shape-nan"])
+    def test_unusable_monte_carlo_parameter_fails_first(self, argv, code, message, tmp_path,
+                                                        monkeypatch, capsys):
+        def chunk(*args):
+            raise AssertionError("a replicate ran before the parameter check")
+
+        monkeypatch.setattr(mcbench, "_replicate_chunk", chunk)
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--output", str(out)]) == code
+        assert capsys.readouterr().err == message + "\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("content, message", [

@@ -414,15 +414,16 @@ def independent_estimates(spec, methods, n_sim, seed):
     return est
 
 
-@pytest.mark.parametrize("methods", [("css", "pmm2"), ("pmm2", "pmm3", "css")])
+@pytest.mark.parametrize("methods", [("css", "pmm2"), ("pmm2", "pmm3", "css"), ("pmm3",)])
 @pytest.mark.parametrize("model, theta, order", [
     ("arima", (0.6,), ModelOrder(p=1, d=1)),
     ("arma", (0.5, 0.3, 1.0), ModelOrder(p=1, q=1)),
+    ("arima", (0.4, 0.2), ModelOrder(p=2, d=1)),
 ])
 def test_estimates_equal_independent_fits(methods, model, theta, order):
     # each replicate's PMM fits start from its CSS fit; the numbers must be
     # those of fitting every method on its own.  At n = 25 one replicate drops
-    # in three of the four cases, so the NaN rows are checked too.
+    # in seven of the nine cases, so the NaN rows are checked too.
     spec = McSpec(model=model, theta=theta, innovations=InnovationSpec("gamma"),
                   n=25, label="s", order=order)
     results, _ = run_monte_carlo([spec], methods, 50, seed=2)
@@ -431,7 +432,121 @@ def test_estimates_equal_independent_fits(methods, model, theta, order):
         assert results[("s", m)].tobytes() == expected[m].tobytes()
 
 
+# The stacked chunks: pure AR orders after differencing, simulated and fit as
+# one stack per chunk (tscore._fit_rows), each row's arithmetic its own.
+STACKED_CASES = [
+    (McSpec("arima", (0.6,), InnovationSpec("gamma"), 40, order=ModelOrder(p=1, d=1)),
+     ["css", "pmm2", "pmm3"]),
+    (McSpec("arima", (0.4, 0.2), InnovationSpec("uniform"), 40, order=ModelOrder(p=2, d=1)),
+     ["css", "pmm2", "pmm3"]),
+    (McSpec("ar", (0.5, 1.0), InnovationSpec("gamma"), 40, order=ModelOrder(p=1)),
+     ["css", "pmm2"]),
+]
+
+
+def payload_bytes(payloads):
+    return [None if p is None else {m: (est.tobytes(), covered.tobytes())
+                                    for m, (est, covered) in p.items()} for p in payloads]
+
+
+@pytest.mark.parametrize("spec, methods", STACKED_CASES, ids=["ari110", "ari210", "ar1-mean"])
+def test_stacked_chunk_payloads_do_not_depend_on_the_chunk(spec, methods):
+    seeds = np.random.SeedSequence(11).spawn(25)
+    whole = mcbench._replicate_chunk((spec, methods, seeds))
+    halves = [p for part in (seeds[:13], seeds[13:])
+              for p in mcbench._replicate_chunk((spec, methods, part))]
+    singles = [p for child in seeds for p in mcbench._replicate_chunk((spec, methods, [child]))]
+    assert payload_bytes(whole) == payload_bytes(halves) == payload_bytes(singles)
+    assert sum(p is not None for p in whole) >= 20
+
+
+def test_stacked_rows_equal_fits_alone():
+    # a two-point row whose CSS moments leave the PMM2 weight undefined gets
+    # its CSS fit, and the seed-187 row whose PMM2 fit converges at
+    # phi = -14.46, beside ordinary rows: each row's fit has the bits of
+    # fitting it alone
+    order = ModelOrder(p=1, d=1)
+    w = np.tile([1.0, 1.0, -1.0, -1.0], 5)  # no lag-1 correlation: CSS phi = 0
+    two_point = np.concatenate([[0.0], np.cumsum(w)])[:20]
+    found = simulate_arima(order, [0.5], np.random.default_rng(187).choice([-1.0, 1.0], 20))
+    rows = [simulate_arima(order, [0.5], sample_innovations(InnovationSpec("gamma"), 60,
+                                                            np.random.default_rng(s)), 40)
+            for s in range(3)]
+    X = np.array([rows[0], two_point, rows[1], found, rows[2]])
+    layout = tscore._Layout(order)
+    for method, fitter in (("CSS", tscore.fit_css), ("PMM2", fit_model), ("PMM3", fit_model)):
+        with np.errstate(all="ignore"):
+            stacked = tscore._fit_rows(method, X, layout)
+        for x, fit in zip(X, stacked):
+            alone = fitter(x, order) if method == "CSS" else fitter(x, method, order)
+            assert fit.method == alone.method and fit.warnings == alone.warnings
+            assert fit.coefficients.tobytes() == alone.coefficients.tobytes()
+            assert (fit.objective, fit.converged) == (alone.objective, alone.converged)
+    pmm2 = tscore._fit_rows("PMM2", X, layout)
+    assert pmm2[1].method == "CSS" and pmm2[1].coefficients.tolist() == [0.0]
+    assert "CSS residual moments leave the PMM2 weights undefined; returning CSS fit" \
+        in pmm2[1].warnings
+    assert pmm2[3].converged and pmm2[3].coefficients[0] == pytest.approx(-14.46, abs=0.01)
+
+
+def test_stacked_row_failures_stay_in_their_rows():
+    # a constant row (rank-deficient lag design) and a row whose differences
+    # overflow fail as they do alone; the rows beside them fit
+    order = ModelOrder(p=1, d=1)
+    good = simulate_arima(order, [0.5], np.random.default_rng(1).standard_normal(30))
+    X = np.array([good, np.ones(30), np.tile([1e308, -1e308], 15), good])
+    with np.errstate(over="ignore"):  # the differences of the third row overflow
+        fits = tscore._fit_rows("PMM2", X, tscore._Layout(order))
+        for x, fit in zip(X, fits):
+            try:
+                alone = fit_model(x, "pmm2", order)
+            except PmmError as exc:
+                assert type(fit) is type(exc) and str(fit) == str(exc)
+            else:
+                assert fit.coefficients.tobytes() == alone.coefficients.tobytes()
+    assert [type(f).__name__ for f in fits] == ["TsFit", "SingularDesignError", "DataError",
+                                                "TsFit"]
+
+
+class TestNonFiniteParameters:
+    def test_theta_and_family_parameters(self):
+        from pmmest.errors import DataError
+        with pytest.raises(DataError, match="theta contains NaN or infinite values"):
+            McSpec("arima", (math.nan,), InnovationSpec("gamma"), 50, order=ModelOrder(p=1, d=1))
+        with pytest.raises(DataError, match="gamma parameter list contains NaN"):
+            innovation_theory(InnovationSpec("gamma", (math.nan, 1.0)))
+        with pytest.raises(DataError, match="gamma parameter list contains NaN"):
+            sample_innovations(InnovationSpec("gamma", (math.inf,)), 5, np.random.default_rng(0))
+
+    def test_grid_skewness(self):
+        from pmmest.errors import DataError
+        for g3 in (math.nan, math.inf):
+            with pytest.raises(DataError, match="grid skewness contains NaN or infinite"):
+                skew_innovations(g3)
+        for g3 in (1e-200, 1e-160):
+            with pytest.raises(ValueError, match="4/gamma3\\^2 is not finite"):
+                skew_innovations(g3)
+        assert skew_innovations(1e-150).params == (4.0 / 1e-150**2, 1.0)
+
+
 class TestAdvantageGrid:
+    def test_values_and_drops_are_those_of_run_monte_carlo(self):
+        # the grid reads the replicate layer under run_monte_carlo without its
+        # covariances: the same PMM2 gains and the same drop tallies
+        model = McSpec("arima", (0.7,), InnovationSpec("gaussian"), 200, label="grid",
+                       order=ModelOrder(p=1, d=1))
+        gamma3, ns = [0.0, 2.0], [9, 12, 20]
+        grid = advantage_grid(gamma3, ns, B=60, model=model, seed=3)
+        specs = [McSpec("arima", (0.7,), skew_innovations(g), n, label=f"gamma{g!r}_n{n}",
+                        order=ModelOrder(p=1, d=1)) for g in gamma3 for n in ns]
+        _, summary = run_monte_carlo(specs, ("css", "pmm2"), 60, seed=3)
+        assert grid.values.ravel().tolist() == [
+            summary.get(s.label, "pmm2", "ar1").gain for s in specs]
+        runs = mcbench._monte_carlo(specs, ("css", "pmm2"), 60, 3, 1, False)
+        assert [payloads.count(None) for _, _, payloads in runs] == [3, 0, 0, 5, 3, 1]
+        assert {s.label: payloads.count(None) for s, _, payloads in runs} == summary.n_failed
+
+
     def test_skew_family_has_exact_skewness(self):
         for g3 in (0.4, 0.8, 1.2, 2.0):
             profile = innovation_theory(skew_innovations(g3))
